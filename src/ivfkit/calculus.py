@@ -14,12 +14,10 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import InfiniteOperand, NonConvergent
 from .interval import Interval, add, gh_dist, gh_sub, norm, scalar_mul
-from .ivf import IVF
+from .ivf import IVF, _halton_directions
 
 __all__ = [
     "DEFAULT_LAMBDA_LADDER",
@@ -109,15 +107,10 @@ def gateaux_derivative(
 
 @dataclass(frozen=True)
 class LinearIVFApprox:
-    """Linear interval-valued map known through its action on directions.
-
-    ``bound_constant`` is the smallest sampled ``C`` with
-    ``norm(action(x)) <= C * |x|``; zero until estimated.
-    """
+    """Linear interval-valued map known through its action on directions."""
 
     dim: int
     action: Callable[[np.ndarray], Interval]
-    bound_constant: float = 0.0
 
     def __call__(self, x) -> Interval:
         return self.action(np.asarray(x, dtype=float).reshape(-1))
@@ -162,11 +155,7 @@ def unit_sphere_samples(dim: int, count: int, seed: int) -> np.ndarray:
     axes = np.vstack([np.eye(dim), -np.eye(dim)])
     extra = max(0, count - len(axes))
     if extra:
-        sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-        z = ndtri(sampler.random(extra))
-        norms = np.linalg.norm(z, axis=1)
-        norms[norms == 0] = 1.0
-        axes = np.vstack([axes, z / norms[:, None]])
+        axes = np.vstack([axes, _halton_directions(dim, extra, seed)[0]])
     axes.setflags(write=False)
     return axes
 

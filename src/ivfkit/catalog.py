@@ -3,20 +3,25 @@
 Each entry carries the annotations the self-test suite checks: semicontinuity
 flags at a probe point, sampled infimum, properness, level-boundedness
 evidence, and (where meaningful) derivative values and argmin descriptions.
+:func:`check_function_entry` and :func:`check_sequence_entry` turn those
+annotations into pass/fail records; the self-test and the tests share them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .calculus import gateaux_derivative, stationarity_check
 from .expr import compile_field, max_var_index, parse_expr
-from .interval import Interval
-from .ivf import IVF, Box
-from .sequences import IntervalSequence
+from .interval import Interval, gh_dist, interval_to_json
+from .ivf import IVF, Box, ProbeParams, SampleGrid, argmin_over, continuity_report
+from .ivf import endpoint_lsc_equivalence, infimum_over, is_proper_probe, level_bounded_probe
+from .sequences import IntervalSequence, LimitKind, check_convergence, check_divergence
+from .sequences import liminf_seq, limsup_seq
 
 __all__ = [
     "CatalogEntry",
@@ -28,6 +33,8 @@ __all__ = [
     "sequence_by_label",
     "get_sequence",
     "ivf_from_expressions",
+    "check_function_entry",
+    "check_sequence_entry",
 ]
 
 
@@ -50,10 +57,6 @@ class CatalogEntry:
     stationary_points: tuple[tuple[float, ...], ...] = ()
     argmin_predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
     notes: str = ""
-
-    @property
-    def expect_continuous(self) -> bool:
-        return self.expect_lsc and self.expect_usc
 
 
 def ivf_from_expressions(
@@ -472,3 +475,75 @@ def get_sequence(label: str) -> SequenceEntry:
     except KeyError:
         known = ", ".join(sorted(sequence_by_label()))
         raise KeyError(f"no catalog sequence {label!r}; known labels: {known}") from None
+
+
+def check_function_entry(entry: CatalogEntry, params: ProbeParams) -> list[dict]:
+    """Check every expectation of a function entry, one record
+    ``{"check": "fn/<label>/<name>", "ok": bool, **detail}`` per check."""
+    records: list[dict] = []
+
+    def check(name: str, ok: bool, **detail) -> None:
+        records.append({"check": f"fn/{entry.label}/{name}", "ok": bool(ok), **detail})
+
+    f, grid = entry.ivf, SampleGrid(entry.box, entry.min_grid_resolution)
+    rep = continuity_report(f, entry.probe_point, params)
+    check(
+        "semicontinuity",
+        rep.lsc == entry.expect_lsc and rep.usc == entry.expect_usc and rep.cross_check_agrees
+        and rep.continuous == (entry.expect_lsc and entry.expect_usc),
+        lsc=rep.lsc, usc=rep.usc, gap=rep.eps_delta_gap,
+    )
+    if entry.expect_liminf is not None:
+        ok = gh_dist(rep.liminf, entry.expect_liminf) <= 1e-3
+        check("liminf", ok, value=interval_to_json(rep.liminf))
+    eq = endpoint_lsc_equivalence(f, entry.probe_point, params)
+    check("endpoint-equivalence", eq.agrees, **eq.to_json())
+    check("proper", is_proper_probe(f, grid) == entry.expect_proper)
+    if entry.expect_infimum is not None:
+        got = infimum_over(f, grid)
+        check("infimum", gh_dist(got, entry.expect_infimum) <= 1e-3, value=interval_to_json(got))
+    if entry.expect_level_bounded is not None:
+        reports = level_bounded_probe(f, entry.level_alphas, grid)
+        ok = all(r.member_count > 0 and r.bounded_evidence == entry.expect_level_bounded for r in reports)
+        check("level-bounded", ok, reports=[r.to_json() for r in reports])
+    if entry.argmin_predicate is not None:
+        points = argmin_over(f, grid, tol=1e-6)
+        ok = len(points) >= 1 and bool(np.all(entry.argmin_predicate(points)))
+        check("argmin", ok, count=int(len(points)))
+    for xbar, direction, expected in entry.derivative_cases:
+        d = gateaux_derivative(f, xbar, direction)
+        ok = gh_dist(d.value, expected) <= 1e-4
+        check("derivative", ok, value=interval_to_json(d.value), residual=d.residual)
+    dirs = np.vstack([np.eye(f.dim), -np.eye(f.dim)])
+    for point in entry.stationary_points:
+        check("stationary", stationarity_check(f, point, dirs), at=list(point))
+    return records
+
+
+def check_sequence_entry(entry: SequenceEntry) -> list[dict]:
+    """Check the limit expectations of a sequence entry, one record
+    ``{"check": "seq/<label>/<name>", "ok": bool, **detail}`` per check.
+
+    Lower and upper limits settle at the tail rate, so they are compared at
+    the entry's ``convergence_eps``.
+    """
+    records: list[dict] = []
+
+    def check(name: str, ok: bool, **detail) -> None:
+        records.append({"check": f"seq/{entry.label}/{name}", "ok": bool(ok), **detail})
+
+    if entry.expect_limit is not None:
+        v = check_convergence(entry.seq, entry.expect_limit, entry.convergence_eps, entry.horizon)
+        check("converges", v.kind is LimitKind.CONVERGES, settled_from=v.settled_from)
+    for name, expected, limit in (
+        ("liminf", entry.expect_liminf, liminf_seq),
+        ("limsup", entry.expect_limsup, limsup_seq),
+    ):
+        if expected is not None:
+            got = limit(entry.seq, entry.horizon)
+            ok = got == expected or gh_dist(got, expected) <= entry.convergence_eps
+            check(name, ok, value=interval_to_json(got))
+    if entry.diverges_pos_inf:
+        v = check_divergence(entry.seq, [1.0, 10.0, 100.0], entry.horizon)
+        check("diverges", v.kind is LimitKind.DIVERGES_POS_INF)
+    return records

@@ -22,12 +22,14 @@ import numpy as np
 
 from .catalog import (
     catalog as function_catalog,
+    check_function_entry,
+    check_sequence_entry,
     get_function,
     get_sequence,
     ivf_from_expressions,
     sequence_catalog,
 )
-from .calculus import gateaux_derivative, stationarity_check
+from .calculus import gateaux_derivative
 from .ekeland import (
     EkelandInput,
     evp_gateaux,
@@ -62,7 +64,6 @@ from .ivf import (
     sample_level_set,
 )
 from .sequences import (
-    LimitKind,
     check_convergence,
     check_divergence,
     endpointwise_limit,
@@ -285,8 +286,7 @@ def _cmd_argmin(args: RunConfig) -> int:
 
 def _cmd_derivative(args: RunConfig) -> int:
     f = _resolve_function(args)
-    ladder = args.ladder if args.ladder is not None else None
-    kwargs = {"ladder": ladder} if ladder else {}
+    kwargs = {"ladder": args.ladder} if args.ladder else {}
     d = gateaux_derivative(f, _parse_point(args.at), _parse_point(args.dir), **kwargs)
     report = _report(
         "derivative",
@@ -432,87 +432,12 @@ def run_selftest(seed: int = 7) -> tuple[bool, list[dict]]:
         inf_family(pair) == Interval(-2, 3) and sup_family(pair) == Interval(-1, 4),
     )
 
-    # sequence catalog
+    # catalog entries against their recorded expectations
     for entry in sequence_catalog():
-        if entry.expect_limit is not None:
-            v = check_convergence(entry.seq, entry.expect_limit, entry.convergence_eps, entry.horizon)
-            check(f"seq/{entry.label}/converges", v.kind is LimitKind.CONVERGES, settled_from=v.settled_from)
-        if entry.expect_liminf is not None:
-            got = liminf_seq(entry.seq, entry.horizon)
-            ok = got == entry.expect_liminf or gh_dist(got, entry.expect_liminf) <= entry.convergence_eps
-            check(f"seq/{entry.label}/liminf", ok, value=interval_to_json(got))
-        if entry.expect_limsup is not None:
-            got = limsup_seq(entry.seq, entry.horizon)
-            ok = got == entry.expect_limsup or gh_dist(got, entry.expect_limsup) <= entry.convergence_eps
-            check(f"seq/{entry.label}/limsup", ok, value=interval_to_json(got))
-        if entry.diverges_pos_inf:
-            v = check_divergence(entry.seq, [1.0, 10.0, 100.0], entry.horizon)
-            check(f"seq/{entry.label}/diverges", v.kind is LimitKind.DIVERGES_POS_INF)
-
-    # function catalog probes
+        records.extend(check_sequence_entry(entry))
     params = ProbeParams(seed=seed)
     for entry in function_catalog():
-        grid = SampleGrid(entry.box, entry.min_grid_resolution)
-        rep = continuity_report(entry.ivf, entry.probe_point, params)
-        check(
-            f"fn/{entry.label}/semicontinuity",
-            rep.lsc == entry.expect_lsc
-            and rep.usc == entry.expect_usc
-            and rep.continuous == (entry.expect_lsc and entry.expect_usc)
-            and rep.cross_check_agrees,
-            lsc=rep.lsc,
-            usc=rep.usc,
-            gap=rep.eps_delta_gap,
-        )
-        if entry.expect_liminf is not None:
-            check(
-                f"fn/{entry.label}/liminf",
-                gh_dist(rep.liminf, entry.expect_liminf) <= 1e-3,
-                value=interval_to_json(rep.liminf),
-            )
-        eq = endpoint_lsc_equivalence(entry.ivf, entry.probe_point, params)
-        check(f"fn/{entry.label}/endpoint-equivalence", eq.agrees, **eq.to_json())
-        check(
-            f"fn/{entry.label}/proper",
-            is_proper_probe(entry.ivf, grid) == entry.expect_proper,
-        )
-        if entry.expect_infimum is not None:
-            got = infimum_over(entry.ivf, grid)
-            check(
-                f"fn/{entry.label}/infimum",
-                gh_dist(got, entry.expect_infimum) <= 1e-3,
-                value=interval_to_json(got),
-            )
-        if entry.expect_level_bounded is not None:
-            reports = level_bounded_probe(entry.ivf, entry.level_alphas, grid)
-            check(
-                f"fn/{entry.label}/level-bounded",
-                all(r.member_count > 0 for r in reports)
-                and all(r.bounded_evidence == entry.expect_level_bounded for r in reports),
-                reports=[r.to_json() for r in reports],
-            )
-        if entry.argmin_predicate is not None:
-            points = argmin_over(entry.ivf, grid, tol=1e-6)
-            check(
-                f"fn/{entry.label}/argmin",
-                len(points) >= 1 and bool(np.all(entry.argmin_predicate(points))),
-                count=int(len(points)),
-            )
-        for xbar, direction, expected in entry.derivative_cases:
-            d = gateaux_derivative(entry.ivf, xbar, direction)
-            check(
-                f"fn/{entry.label}/derivative",
-                gh_dist(d.value, expected) <= 1e-4,
-                value=interval_to_json(d.value),
-                residual=d.residual,
-            )
-        dirs = np.vstack([np.eye(entry.ivf.dim), -np.eye(entry.ivf.dim)])
-        for point in entry.stationary_points:
-            check(
-                f"fn/{entry.label}/stationary",
-                stationarity_check(entry.ivf, point, dirs),
-                at=list(point),
-            )
+        records.extend(check_function_entry(entry, params))
 
     # level-set reduction, pointwise
     level_entry = get_function("paper-levelset")

@@ -21,7 +21,6 @@ from .errors import EmptyFamily, InfiniteOperand, InvalidEndpoints
 
 __all__ = [
     "Interval",
-    "ExtendedInterval",
     "OrderRelation",
     "ZERO",
     "POS_INF",
@@ -89,17 +88,9 @@ class Interval:
         """True for the extended element ``[-inf, -inf]``."""
         return self.lo == -_INF and self.hi == -_INF
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the interval is a single real number."""
-        return self.lo == self.hi
-
     def __repr__(self) -> str:
         return format_interval(self)
 
-
-# Alias used in signatures where infinite endpoints are expected.
-ExtendedInterval = Interval
 
 ZERO = Interval(0.0, 0.0)
 POS_INF = Interval(_INF, _INF)

@@ -14,13 +14,12 @@ decidable from finitely many samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import (
     EmptyGrid,
@@ -37,7 +36,6 @@ __all__ = [
     "IVF",
     "ScalarField",
     "unit_ball_points",
-    "eval_ivf",
     "lower_limit",
     "upper_limit",
     "scalar_lower_limit",
@@ -98,9 +96,6 @@ class Box:
         lo = np.array([a for a, _ in self.bounds])
         hi = np.array([b for _, b in self.bounds])
         return np.clip(points, lo, hi)
-
-    def widened(self, margin: float) -> "Box":
-        return Box(tuple((a - margin, b + margin) for a, b in self.bounds))
 
     def intersect(self, other: "Box") -> "Box":
         if other.dim != self.dim:
@@ -204,16 +199,37 @@ class ProbeParams:
         object.__setattr__(self, "delta_ladder", ladder)
 
 
+def _halton_directions(dim: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions from a scrambled Halton sequence in ``dim + 1`` coordinates.
+
+    Coordinate ``j`` has the ``j``-th prime as base, and each of its digits goes
+    through its own permutation drawn from ``seed`` (Owen 2017, *A randomized
+    Halton algorithm in R*).  Coordinates are cell midpoints, strictly inside
+    (0, 1); the first ``dim`` become normalized standard normals, and the last
+    is returned as is, shape (count,).
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(count, dtype=np.int64)[:, None]
+    # the first dim + 1 primes all lie below 20 * dim + 40
+    primes = [n for n in range(2, 20 * dim + 40) if all(n % p for p in range(2, math.isqrt(n) + 1))]
+    u = np.empty((count, dim + 1))
+    for j, base in enumerate(primes[: dim + 1]):
+        digits = int(32 / math.log2(base))  # base**digits <= 2**32
+        weights = base ** np.arange(digits, dtype=np.int64)
+        perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
+        scrambled = perms[np.arange(digits), index // weights % base]
+        u[:, j] = (scrambled @ weights[::-1] + 0.5) / float(base**digits)
+    z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(u[:, :dim])
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0] = 1.0
+    return z / norms[:, None], u[:, dim]
+
+
 @lru_cache(maxsize=64)
 def unit_ball_points(dim: int, count: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy sample of the unit ball, shape (count, dim)."""
-    sampler = qmc.Halton(d=dim + 1, scramble=True, seed=seed)
-    u = sampler.random(count)
-    z = ndtri(u[:, :dim])
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0] = 1.0
-    radius = u[:, dim] ** (1.0 / dim)
-    pts = z / norms[:, None] * radius[:, None]
+    directions, u = _halton_directions(dim, count, seed)
+    pts = directions * (u ** (1.0 / dim))[:, None]
     pts.setflags(write=False)
     return pts
 
@@ -257,19 +273,19 @@ class IVF:
         return Interval(float(lo[0]), float(hi[0]))
 
 
-def eval_ivf(f: IVF, x) -> Interval:
-    """Evaluate at a single point; value ``[+inf,+inf]`` encodes plus-infinity."""
-    return f(x)
+def _ball(
+    dim: int, domain: Optional[Box], xbar: np.ndarray, delta: float, params: ProbeParams
+) -> np.ndarray:
+    """The ball center plus the scaled unit-ball sample, clipped to ``domain``."""
+    unit = unit_ball_points(dim, params.samples_per_ball, params.seed)
+    pts = np.vstack([xbar[None, :], xbar[None, :] + delta * unit])
+    return pts if domain is None else domain.clip(pts)
 
 
 def _ball_values(
     f: IVF, xbar: np.ndarray, delta: float, params: ProbeParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    unit = unit_ball_points(f.dim, params.samples_per_ball, params.seed)
-    pts = np.vstack([xbar[None, :], xbar[None, :] + delta * unit])
-    if f.domain is not None:
-        pts = f.domain.clip(pts)
-    return f.values(pts)
+    return f.values(_ball(f.dim, f.domain, xbar, delta, params))
 
 
 def lower_limit(f: IVF, xbar, params: ProbeParams = ProbeParams()) -> Interval:
@@ -293,12 +309,12 @@ def upper_limit(f: IVF, xbar, params: ProbeParams = ProbeParams()) -> Interval:
 
 
 def _scalar_limit(
-    fld: ScalarField, dim: int, xbar: np.ndarray, params: ProbeParams, lower: bool
+    fld: ScalarField, dim: int, xbar: np.ndarray, params: ProbeParams, lower: bool,
+    domain: Optional[Box] = None,
 ) -> float:
-    unit = unit_ball_points(dim, params.samples_per_ball, params.seed)
     best = -_INF if lower else _INF
     for delta in params.delta_ladder:
-        pts = np.vstack([xbar[None, :], xbar[None, :] + delta * unit])
+        pts = _ball(dim, domain, xbar, delta, params)
         with np.errstate(all="ignore"):
             vals = np.asarray(fld(pts), dtype=float)
         rung = float(vals.min()) if lower else float(vals.max())
@@ -424,8 +440,8 @@ def endpoint_lsc_equivalence(
     """Consistency report: the interval probe should match both scalar probes."""
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     value = f(xbar)
-    lo_ok = value.lo <= scalar_lower_limit(f.lower, f.dim, xbar, params) + params.tol
-    hi_ok = value.hi <= scalar_lower_limit(f.upper, f.dim, xbar, params) + params.tol
+    lo_ok = value.lo <= _scalar_limit(f.lower, f.dim, xbar, params, True, f.domain) + params.tol
+    hi_ok = value.hi <= _scalar_limit(f.upper, f.dim, xbar, params, True, f.domain) + params.tol
     return EndpointLscReport(
         interval_route=is_gh_lsc_at(f, xbar, params),
         lower_endpoint_lsc=lo_ok,

@@ -1,5 +1,9 @@
 """Top-level package surface stays importable and wired together."""
 
+import os
+import subprocess
+import sys
+
 import ivfkit
 
 
@@ -25,3 +29,15 @@ def test_workflow_through_top_level():
 
 def test_version():
     assert ivfkit.__version__
+
+
+def test_runs_without_scipy():
+    # numpy is the only third-party runtime dependency
+    code = (
+        "import sys; sys.modules['scipy'] = None; import ivfkit.cli\n"
+        "from ivfkit import continuity_report, get_function\n"
+        "assert continuity_report(get_function('quadratic').ivf, (1.0,)).continuous"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ivfkit.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,94 +1,51 @@
-import numpy as np
+import functools
+
 import pytest
 
-from ivfkit.calculus import gateaux_derivative, stationarity_check
-from ivfkit.catalog import catalog, get_function, get_sequence, sequence_catalog
-from ivfkit.interval import gh_dist, norm, preceq
-from ivfkit.ivf import (
-    ProbeParams,
-    SampleGrid,
-    argmin_over,
-    continuity_report,
-    endpoint_lsc_equivalence,
-    infimum_over,
-    is_proper_probe,
-    level_bounded_probe,
-)
-from ivfkit.sequences import (
-    LimitKind,
-    check_convergence,
-    check_divergence,
-    is_bounded_above,
-    is_monotone_increasing,
-    liminf_seq,
-    limsup_seq,
-    monotone_limit,
-)
+from ivfkit.catalog import catalog, check_function_entry, check_sequence_entry
+from ivfkit.catalog import get_function, get_sequence, sequence_catalog
+from ivfkit.ivf import ProbeParams, SampleGrid, argmin_over
+from ivfkit.sequences import LimitKind, check_convergence, is_bounded_above
+from ivfkit.sequences import is_monotone_increasing, monotone_limit
 
 PARAMS = ProbeParams()
 ENTRIES = catalog()
 SEQ_ENTRIES = sequence_catalog()
 
 
-def grid_for(entry):
-    return SampleGrid(entry.box, entry.min_grid_resolution)
+@functools.cache
+def function_records(label):
+    return check_function_entry(get_function(label), PARAMS)
+
+
+@functools.cache
+def sequence_records(label):
+    return check_sequence_entry(get_sequence(label))
+
+
+def records_pass(records_of, *names):
+    """Test that no record of the shared checker named ``names`` failed for the
+    entry; an entry without that expectation has no such record."""
+
+    def test(self, entry):
+        picked = [r for r in records_of(entry.label) if r["check"].rsplit("/", 1)[1] in names]
+        failed = [r for r in picked if not r["ok"]]
+        assert not failed, failed
+
+    return test
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.label)
 class TestFunctionEntries:
-    def test_semicontinuity_flags(self, entry):
-        rep = continuity_report(entry.ivf, entry.probe_point, PARAMS)
-        assert rep.lsc == entry.expect_lsc
-        assert rep.usc == entry.expect_usc
-        assert rep.continuous == (entry.expect_lsc and entry.expect_usc)
-        assert rep.cross_check_agrees
-
-    def test_liminf_value(self, entry):
-        if entry.expect_liminf is None:
-            pytest.skip("no expected lower limit recorded")
-        rep = continuity_report(entry.ivf, entry.probe_point, PARAMS)
-        assert gh_dist(rep.liminf, entry.expect_liminf) <= 1e-3
-
-    def test_endpoint_equivalence_agrees(self, entry):
-        rep = endpoint_lsc_equivalence(entry.ivf, entry.probe_point, PARAMS)
-        assert rep.agrees
-
-    def test_properness(self, entry):
-        assert is_proper_probe(entry.ivf, grid_for(entry)) == entry.expect_proper
-
-    def test_infimum(self, entry):
-        if entry.expect_infimum is None:
-            pytest.skip("no expected infimum recorded")
-        got = infimum_over(entry.ivf, grid_for(entry))
-        assert gh_dist(got, entry.expect_infimum) <= 1e-3
-
-    def test_level_bounded_evidence(self, entry):
-        if entry.expect_level_bounded is None:
-            pytest.skip("no level-bound expectation recorded")
-        reports = level_bounded_probe(entry.ivf, entry.level_alphas, grid_for(entry))
-        assert all(r.member_count > 0 for r in reports)
-        assert all(r.bounded_evidence == entry.expect_level_bounded for r in reports)
-
-    def test_argmin(self, entry):
-        if entry.argmin_predicate is None:
-            pytest.skip("no argmin description recorded")
-        points = argmin_over(entry.ivf, grid_for(entry), tol=1e-6)
-        assert len(points) >= 1
-        assert bool(np.all(entry.argmin_predicate(points)))
-
-    def test_derivative_cases(self, entry):
-        if not entry.derivative_cases:
-            pytest.skip("no derivative cases recorded")
-        for xbar, direction, expected in entry.derivative_cases:
-            d = gateaux_derivative(entry.ivf, xbar, direction)
-            assert gh_dist(d.value, expected) <= 1e-4
-
-    def test_stationary_points(self, entry):
-        if not entry.stationary_points:
-            pytest.skip("no stationary points recorded")
-        dirs = np.vstack([np.eye(entry.ivf.dim), -np.eye(entry.ivf.dim)])
-        for point in entry.stationary_points:
-            assert stationarity_check(entry.ivf, point, dirs)
+    test_semicontinuity_flags = records_pass(function_records, "semicontinuity")
+    test_liminf_value = records_pass(function_records, "liminf")
+    test_endpoint_equivalence_agrees = records_pass(function_records, "endpoint-equivalence")
+    test_properness = records_pass(function_records, "proper")
+    test_infimum = records_pass(function_records, "infimum")
+    test_level_bounded_evidence = records_pass(function_records, "level-bounded")
+    test_argmin = records_pass(function_records, "argmin")
+    test_derivative_cases = records_pass(function_records, "derivative")
+    test_stationary_points = records_pass(function_records, "stationary")
 
 
 class TestCatalogShape:
@@ -108,7 +65,7 @@ class TestCatalogShape:
         # entries whose proper/lsc/level-bounded probes all pass must attain
         # their sampled minimum
         for entry in ENTRIES:
-            grid = grid_for(entry)
+            grid = SampleGrid(entry.box, entry.min_grid_resolution)
             if not entry.expect_proper or not entry.expect_lsc:
                 continue
             if entry.expect_level_bounded is not True:
@@ -118,22 +75,9 @@ class TestCatalogShape:
 
 @pytest.mark.parametrize("entry", SEQ_ENTRIES, ids=lambda e: e.label)
 class TestSequenceEntries:
-    def test_convergence(self, entry):
-        if entry.expect_limit is None:
-            pytest.skip("no limit recorded")
-        v = check_convergence(
-            entry.seq, entry.expect_limit, entry.convergence_eps, entry.horizon
-        )
-        assert v.kind is LimitKind.CONVERGES
-
-    def test_liminf_limsup(self, entry):
-        # the estimate settles at the tail rate, so compare at the entry's eps
-        if entry.expect_liminf is not None:
-            got = liminf_seq(entry.seq, entry.horizon)
-            assert got == entry.expect_liminf or gh_dist(got, entry.expect_liminf) <= entry.convergence_eps
-        if entry.expect_limsup is not None:
-            got = limsup_seq(entry.seq, entry.horizon)
-            assert got == entry.expect_limsup or gh_dist(got, entry.expect_limsup) <= entry.convergence_eps
+    test_convergence = records_pass(sequence_records, "converges")
+    test_liminf_limsup = records_pass(sequence_records, "liminf", "limsup")
+    test_divergence = records_pass(sequence_records, "diverges")
 
     def test_monotonicity(self, entry):
         if entry.monotone is None:
@@ -147,9 +91,3 @@ class TestSequenceEntries:
         got = monotone_limit(entry.seq, entry.horizon, tol=1e-6)
         v = check_convergence(entry.seq, got, eps=max(1e-6, entry.convergence_eps), horizon=entry.horizon)
         assert v.kind is LimitKind.CONVERGES
-
-    def test_divergence(self, entry):
-        if not entry.diverges_pos_inf:
-            pytest.skip("no divergence expectation")
-        v = check_divergence(entry.seq, [1.0, 10.0, 100.0], entry.horizon)
-        assert v.kind is LimitKind.DIVERGES_POS_INF

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ivfkit.calculus import unit_sphere_samples
 from ivfkit.errors import (
     EmptyGrid,
     EndpointOrderViolation,
@@ -30,6 +31,7 @@ from ivfkit.ivf import (
     level_member,
     level_member_mask,
     lower_limit,
+    _halton_directions,
     sample_level_set,
     unit_ball_points,
     upper_limit,
@@ -148,6 +150,31 @@ class TestBoxAndGrid:
         assert a is b or np.array_equal(a, b)
         assert np.all(np.linalg.norm(a, axis=1) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("count", [1, 512, 513])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_sampler_contract(self, dim, count):
+        ball = unit_ball_points(dim, count, seed=7)
+        sphere = unit_sphere_samples(dim, count, seed=7)
+        assert ball.shape == (count, dim)
+        assert np.isfinite(ball).all() and np.isfinite(sphere).all()
+        assert np.all(np.linalg.norm(ball, axis=1) <= 1.0)
+        # recompute past the cache: the same seed gives the same array
+        assert np.array_equal(ball, unit_ball_points.__wrapped__(dim, count, 7))
+        assert np.array_equal(sphere, unit_sphere_samples.__wrapped__(dim, count, 7))
+        assert not np.array_equal(ball, unit_ball_points(dim, count, seed=8))
+        axes = np.vstack([np.eye(dim), -np.eye(dim)])
+        assert np.array_equal(sphere[: 2 * dim], axes)
+        assert np.allclose(np.linalg.norm(sphere, axis=1), 1.0)
+        if len(sphere) > 2 * dim:
+            assert not np.array_equal(sphere, unit_sphere_samples(dim, count, seed=8))
+
+    @pytest.mark.parametrize("dim, base", [(1, 3), (2, 5)])
+    def test_halton_coordinate_stratified(self, dim, base):
+        # digit permutations keep the Halton strata: the first base**3 points
+        # fill every cell of width base**-3 exactly once
+        _, u = _halton_directions(dim, base**3, seed=7)
+        assert sorted(np.floor(u * base**3).astype(int)) == list(range(base**3))
+
 
 class TestEvaluation:
     def test_proper_example_value(self):
@@ -247,6 +274,15 @@ class TestSemicontinuity:
     def test_endpoint_equivalence_constant(self):
         rep = endpoint_lsc_equivalence(constant_ivf(), (0.2,), PARAMS)
         assert rep.interval_route and rep.agrees
+
+    def test_endpoint_equivalence_respects_domain(self):
+        # scalar and interval probes both clip their balls: sqrt is NaN left of 0
+        root = lambda P: np.sqrt(P[:, 0])
+        f = IVF(1, root, lambda P: root(P) + 1.0, "sqrt", domain=Box(((0.0, 1.0),)))
+        assert continuity_report(f, (0.0,), PARAMS).lsc
+        rep = endpoint_lsc_equivalence(f, (0.0,), PARAMS)
+        assert rep.interval_route and rep.lower_endpoint_lsc and rep.upper_endpoint_lsc
+        assert rep.agrees
 
 
 class TestSums:
