@@ -305,6 +305,8 @@ def _cmd_evp(args: RunConfig) -> int:
     grid = SampleGrid(args.box, args.res)
     tol = args.tol if args.tol is not None else 1e-9
     directions = np.vstack([np.eye(f.dim), -np.eye(f.dim)])
+    # one verify grid for the whole sweep, so f is evaluated on it once
+    fine = SampleGrid(args.box, args.verify_res) if args.verify_res else None
     cells = []
     rows = []
     all_ok = True
@@ -319,8 +321,7 @@ def _cmd_evp(args: RunConfig) -> int:
             else:
                 cert, bound = evp_search(inp), None
             verified = None
-            if args.verify_res:
-                fine = SampleGrid(args.box, args.verify_res)
+            if fine is not None:
                 verified = verify_certificate(f, cert, fine, delta, tol)
             ok = cert.valid and (verified is not False)
             if bound is not None:

@@ -11,7 +11,6 @@ as a proof; tolerance-scale ties (plateaus) are surfaced as warnings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +28,7 @@ from .interval import (
     preceq,
 )
 from .ivf import IVF, Box, SampleGrid, argmin_over, infimum_over, is_proper_probe
+from .ivf import _gh_gap, _grid_distances, _grid_points_at, _grid_values
 
 __all__ = [
     "EkelandInput",
@@ -146,25 +146,13 @@ def perturbed(f: IVF, delta: float, center) -> IVF:
     )
 
 
-def _tol_argmin_points(f: IVF, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Points whose value is within ``tol`` gH-distance of the componentwise infimum."""
-    lo, hi = f.values(pts)
-    m_lo, m_hi = float(lo.min()), float(hi.min())
-    with np.errstate(all="ignore"):
-        dlo = np.where(lo == m_lo, 0.0, np.abs(lo - m_lo))
-        dhi = np.where(hi == m_hi, 0.0, np.abs(hi - m_hi))
-        dist = np.maximum(dlo, dhi)
-    dist = np.where(np.isnan(dist), math.inf, dist)
-    return pts[dist <= tol]
-
-
 def _strict_minimality_scan(
-    f: IVF, x0: np.ndarray, delta: float, pts: np.ndarray, tie_tol: float
+    f: IVF, x0: np.ndarray, delta: float, grid: SampleGrid, tie_tol: float
 ) -> tuple[int, list[tuple[float, ...]], list[tuple[float, ...]]]:
     """Check ``F(x0)`` strictly dominates ``F(x) + delta*|x-x0|`` off ``x0``."""
     v0 = f(x0)
-    lo, hi = f.values(pts)
-    r = np.linalg.norm(pts - x0[None, :], axis=1)
+    lo, hi = _grid_values(f, grid)
+    r = _grid_distances(grid, x0)
     off = r > 0
     plo = lo + delta * r
     phi = hi + delta * r
@@ -173,22 +161,17 @@ def _strict_minimality_scan(
     with np.errstate(all="ignore"):
         gap = np.maximum(np.abs(plo - v0.lo), np.abs(phi - v0.hi))
     tie = off & dominated & (gap <= tie_tol)
-    violations = [tuple(p.tolist()) for p in pts[bad]]
-    ties = [tuple(p.tolist()) for p in pts[tie]]
+    violations = [tuple(p) for p in _grid_points_at(grid, np.flatnonzero(bad)).tolist()]
+    ties = [tuple(p) for p in _grid_points_at(grid, np.flatnonzero(tie)).tolist()]
     return int(off.sum()), violations, ties
 
 
 def _pick_witness(
-    f: IVF, candidates: np.ndarray, xbar: np.ndarray, tol: float
+    candidates: np.ndarray, lo: np.ndarray, hi: np.ndarray, xbar: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Minimize f over the candidate set, breaking ties by |x-xbar| then lexicographically."""
-    lo, hi = f.values(candidates)
-    m_lo, m_hi = float(lo.min()), float(hi.min())
-    with np.errstate(all="ignore"):
-        dlo = np.where(lo == m_lo, 0.0, np.abs(lo - m_lo))
-        dhi = np.where(hi == m_hi, 0.0, np.abs(hi - m_hi))
-        dist = np.maximum(dlo, dhi)
-    dist = np.where(np.isnan(dist), math.inf, dist)
+    """Minimize f (values ``lo``, ``hi``) over the candidate set, breaking ties
+    by |x-xbar| then lexicographically."""
+    dist = _gh_gap(lo, hi, float(lo.min()), float(hi.min()))
     winners = candidates[dist <= tol]
     if len(winners) == 0:
         winners = candidates[dist == dist.min()]
@@ -224,16 +207,27 @@ def evp_search(inp: EkelandInput) -> EkelandCertificate:
         )
 
     cone = perturbed(f, inp.delta, xbar)
-    # xbar joins the candidate pool: the cone's kink sits exactly there, and
-    # grid points only approximate it
-    pool = np.vstack([inp.grid.points(), xbar[None, :]])
-    stage1 = _tol_argmin_points(cone, pool, inp.tol)
-    if len(stage1) == 0:
+    # stage 1 minimizes the cone over the grid plus xbar itself (the last
+    # row): the cone's kink sits exactly at xbar, and grid points only
+    # approximate it.  The cone adds delta*|x - xbar| to both endpoints
+    # alike, so its values come from those of f without evaluating again.
+    glo, ghi = _grid_values(f, inp.grid)
+    pool_lo = np.append(glo, value_xbar.lo)
+    pool_hi = np.append(ghi, value_xbar.hi)
+    shift = inp.delta * np.append(_grid_distances(inp.grid, xbar), 0.0)
+    cone_lo, cone_hi = pool_lo + shift, pool_hi + shift
+    near = np.flatnonzero(
+        _gh_gap(cone_lo, cone_hi, float(cone_lo.min()), float(cone_hi.min())) <= inp.tol
+    )
+    if len(near) == 0:
         raise EmptyArgmin(
             "stage-1 argmin is empty: no sampled point is within tol of both "
             "endpoint minima (grid too coarse, or the endpoint minimizers split)"
         )
-    x0 = _pick_witness(f, stage1, xbar, inp.tol)
+    stage1 = _grid_points_at(inp.grid, near[near < inp.grid.size])
+    if near[-1] == inp.grid.size:
+        stage1 = np.vstack([stage1, xbar[None, :]])
+    x0 = _pick_witness(stage1, pool_lo[near], pool_hi[near], xbar, inp.tol)
 
     spacing = inp.grid.spacing()
     for _ in range(REFINEMENT_ROUNDS):
@@ -246,7 +240,7 @@ def evp_search(inp: EkelandInput) -> EkelandCertificate:
         local_grid = SampleGrid(local, (REFINEMENT_RESOLUTION,) * f.dim)
         local_c = argmin_over(cone, local_grid, inp.tol)
         if len(local_c):
-            candidate = _pick_witness(f, local_c, xbar, inp.tol)
+            candidate = _pick_witness(local_c, *f.values(local_c), xbar, inp.tol)
             if prec(cone(candidate), cone(x0)):
                 x0 = candidate
         spacing = spacing / 10.0
@@ -254,9 +248,7 @@ def evp_search(inp: EkelandInput) -> EkelandCertificate:
     value_x0 = f(x0)
     dist = float(np.linalg.norm(x0 - xbar))
     bound = inp.eps / inp.delta
-    checked, violations, ties = _strict_minimality_scan(
-        f, x0, inp.delta, inp.grid.points(), inp.tol
-    )
+    checked, violations, ties = _strict_minimality_scan(f, x0, inp.delta, inp.grid, inp.tol)
     warnings = []
     if ties:
         warnings.append(
@@ -295,7 +287,7 @@ def verify_certificate(
     xbar = np.asarray(cert.xbar, dtype=float)
     dist_ok = float(np.linalg.norm(x0 - xbar)) < cert.eps / delta
     descent_ok = preceq(f(x0), f(xbar))
-    _, violations, _ = _strict_minimality_scan(f, x0, delta, grid.points(), tol)
+    _, violations, _ = _strict_minimality_scan(f, x0, delta, grid, tol)
     return dist_ok and descent_ok and not violations
 
 
@@ -326,8 +318,7 @@ def level_bound_lemma_check(xbar, bound: Interval, grid: SampleGrid) -> bool:
     ``r <= bound.lo`` or ``bound.lo < r < bound.hi``.
     """
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    pts = grid.points()
-    r = np.linalg.norm(pts - xbar[None, :], axis=1)
+    r = _grid_distances(grid, xbar)
     by_dominance = np.array([nprec(bound, Interval(float(v), float(v))) for v in r])
     by_reduction = (r <= bound.lo) | ((bound.lo < r) & (r < bound.hi))
     return bool(np.array_equal(by_dominance, by_reduction))

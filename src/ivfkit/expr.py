@@ -5,16 +5,21 @@ Supported nodes: numeric constants (including ``inf``), variables ``x1..xN``,
 ``max``, and ``piecewise(guard, then, else)`` whose guard is a comparison of
 two subexpressions.  The function set is frozen; there are no user plugins.
 
-Evaluation is vectorized over an ``(N, dim)`` array of points and composes the
-node semantics directly (numpy ufuncs), so piecewise branches may produce
-non-finite intermediates that the selected branch discards.
+Evaluation is vectorized over an ``(N, dim)`` array of points.  Each tree is
+compiled once into nested closures over numpy ufuncs: constants stay numpy
+scalars (so ``x1^2`` squares instead of raising to an array of exponents), and
+constant subtrees are folded at compile time.  Both branches of a piecewise
+are evaluated everywhere, so they may produce non-finite intermediates that
+the selected branch discards.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from typing import Callable, Union
 
 import numpy as np
 
@@ -275,64 +280,73 @@ def ast_to_text(node: ExprAST) -> str:
 def eval_expr(node: ExprAST, points: np.ndarray) -> np.ndarray:
     """Evaluate on an (N, dim) array of points, returning an (N,) array."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    code = _compile(node)
     with np.errstate(all="ignore"):
-        return _eval(node, pts)
+        if callable(code):
+            return code(pts)
+        return np.full(pts.shape[0], code)
 
 
-def _eval(node: ExprAST, pts: np.ndarray) -> np.ndarray:
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    # the operator, not np.power: an ndarray raised to a scalar 2 is squared
+    "^": operator.pow,
+}
+_COMPARE = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+_UNARY_CALLS = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def _lift(op: Callable, *parts):
+    """``op`` over compiled parts: folded to a constant now when every part is
+    one, else a closure over the points."""
+    if not any(callable(p) for p in parts):
+        with np.errstate(all="ignore"):
+            out = op(*parts)
+        return out[()] if isinstance(out, np.ndarray) else out
+    fns = [p if callable(p) else (lambda pts, c=p: c) for p in parts]
+    return lambda pts: op(*[fn(pts) for fn in fns])
+
+
+@lru_cache(maxsize=256)
+def _compile(node: ExprAST):
+    """A closure from an (N, dim) array to the node's (N,) values, or a numpy
+    scalar when the node is constant."""
     if isinstance(node, Num):
-        return np.full(pts.shape[0], node.value)
+        return np.float64(node.value)
     if isinstance(node, Var):
-        if node.index > pts.shape[1]:
-            raise UnknownIdentifier(
-                f"x{node.index} out of range for dimension {pts.shape[1]}"
-            )
-        return pts[:, node.index - 1]
+        col = node.index - 1
+
+        def var(pts: np.ndarray) -> np.ndarray:
+            if col >= pts.shape[1]:
+                raise UnknownIdentifier(
+                    f"x{node.index} out of range for dimension {pts.shape[1]}"
+                )
+            return pts[:, col]
+
+        return var
     if isinstance(node, Unary):
-        return -_eval(node.operand, pts)
+        return _lift(operator.neg, _compile(node.operand))
     if isinstance(node, Binary):
-        left = _eval(node.left, pts)
-        right = _eval(node.right, pts)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        return np.power(left, right)
+        return _lift(_BINARY[node.op], _compile(node.left), _compile(node.right))
     if isinstance(node, Compare):
-        left = _eval(node.left, pts)
-        right = _eval(node.right, pts)
-        table = {
-            "==": np.equal, "!=": np.not_equal,
-            "<": np.less, "<=": np.less_equal,
-            ">": np.greater, ">=": np.greater_equal,
-        }
-        return table[node.op](left, right)
+        return _lift(_COMPARE[node.op], _compile(node.left), _compile(node.right))
     if isinstance(node, Call):
-        args = [_eval(a, pts) for a in node.args]
-        if node.fn == "abs":
-            return np.abs(args[0])
-        if node.fn == "sin":
-            return np.sin(args[0])
-        if node.fn == "cos":
-            return np.cos(args[0])
-        if node.fn == "exp":
-            return np.exp(args[0])
-        if node.fn == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
+        args = [_compile(a) for a in node.args]
+        if node.fn in _UNARY_CALLS:
+            return _lift(_UNARY_CALLS[node.fn], args[0])
+        fold = np.minimum if node.fn == "min" else np.maximum
         out = args[0]
         for a in args[1:]:
-            out = np.maximum(out, a)
+            out = _lift(fold, out, a)
         return out
     if isinstance(node, Piecewise):
-        guard = _eval(node.guard, pts)
-        return np.where(guard, _eval(node.then, pts), _eval(node.other, pts))
+        return _lift(
+            np.where, _compile(node.guard), _compile(node.then), _compile(node.other)
+        )
     raise TypeError(f"not an expression node: {node!r}")
 
 

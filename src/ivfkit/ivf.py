@@ -14,7 +14,7 @@ decidable from finitely many samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence
@@ -114,10 +114,17 @@ class SampleGrid:
 
     The first coordinate varies slowest; reductions over grid values follow
     this fixed order so results are bitwise reproducible.
+
+    A grid keeps the endpoint values of every function evaluated on it, so
+    the infimum, argmin, properness and level-set probes, the variational
+    search and the certificate check evaluate a function once per grid.
+    Endpoint fields are assumed pure.  The memo lives exactly as long as the
+    grid object; it takes no part in equality or hashing.
     """
 
     box: Box
     resolution: tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         res = self.resolution
@@ -389,12 +396,7 @@ def continuity_report(f: IVF, xbar, params: ProbeParams = ProbeParams()) -> Cont
 
     # eps-delta form on the tightest ball: sup of gH-distance to the center value
     lo, hi = _ball_values(f, xbar, params.delta_ladder[-1], params)
-    with np.errstate(all="ignore"):
-        dlo = np.where(lo == value.lo, 0.0, np.abs(lo - value.lo))
-        dhi = np.where(hi == value.hi, 0.0, np.abs(hi - value.hi))
-    gap = float(np.max(np.maximum(dlo, dhi)))
-    if math.isnan(gap):
-        gap = _INF
+    gap = float(np.max(_gh_gap(lo, hi, value.lo, value.hi)))
     return ContinuityReport(
         point=tuple(xbar.tolist()),
         value=value,
@@ -456,7 +458,10 @@ def level_member(f: IVF, alpha: Interval, x) -> bool:
 
 def level_member_mask(f: IVF, alpha: Interval, points: np.ndarray) -> np.ndarray:
     """Vectorized level-set membership for an (N, dim) array of points."""
-    lo, hi = f.values(points)
+    return _level_mask(*f.values(points), alpha)
+
+
+def _level_mask(lo: np.ndarray, hi: np.ndarray, alpha: Interval) -> np.ndarray:
     dominated_by_value = (lo <= alpha.lo) & (hi <= alpha.hi)
     crossing = ((alpha.lo < lo) & (alpha.hi > hi)) | ((alpha.lo > lo) & (alpha.hi < hi))
     return dominated_by_value | crossing
@@ -464,8 +469,8 @@ def level_member_mask(f: IVF, alpha: Interval, points: np.ndarray) -> np.ndarray
 
 def sample_level_set(f: IVF, alpha: Interval, grid: SampleGrid) -> np.ndarray:
     """Grid points belonging to the level set, in enumeration order."""
-    pts = grid.points()
-    return pts[level_member_mask(f, alpha, pts)]
+    member = _level_mask(*_grid_values(f, grid), alpha)
+    return _grid_points_at(grid, np.flatnonzero(member))
 
 
 @dataclass(frozen=True)
@@ -494,11 +499,11 @@ def level_bounded_probe(
     f: IVF, alphas: Sequence[Interval], grid: SampleGrid
 ) -> list[LevelBoundReport]:
     """For each alpha, check whether level-set members stay off the outer shell."""
-    pts = grid.points()
+    lo, hi = _grid_values(f, grid)
     shell = grid.shell_mask()
     out = []
     for alpha in alphas:
-        member = level_member_mask(f, alpha, pts)
+        member = _level_mask(lo, hi, alpha)
         out.append(
             LevelBoundReport(
                 alpha=alpha,
@@ -538,23 +543,63 @@ def indicator(pred: Callable[[np.ndarray], np.ndarray], dim: int, label: str = "
     return IVF(dim=dim, lower=fld, upper=fld, label=label)
 
 
-def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pts = grid.points()
-    if pts.shape[0] == 0:
-        raise EmptyGrid("grid has no points")
-    lo, hi = f.values(pts)
-    return pts, lo, hi
+def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only endpoint values of ``f`` on ``grid`` in enumeration order,
+    evaluated on the first request and kept in the grid's memo.
+
+    The memo is keyed by the identity of ``f`` and holds ``f`` itself, so the
+    key cannot be reused while the entry lives, and endpoint fields need not
+    be hashable.
+    """
+    hit = grid._memo.get(id(f))
+    if hit is None or hit[0] is not f:
+        # views, so the read-only flag never touches an array a field returned
+        # from its own state; columns of the points are copied out
+        lo, hi = (np.ascontiguousarray(v).view() for v in f.values(grid.points()))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        hit = grid._memo[id(f)] = (f, lo, hi)
+    return hit[1], hit[2]
+
+
+def _grid_points_at(grid: SampleGrid, flat: np.ndarray) -> np.ndarray:
+    """The grid points at enumeration indices ``flat``, shape (len(flat), dim)."""
+    idx = np.unravel_index(flat, grid.resolution)
+    return np.stack([ax[i] for ax, i in zip(grid.axes(), idx)], axis=-1)
+
+
+def _grid_distances(grid: SampleGrid, center: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every grid point to ``center``, in enumeration order."""
+    dim = grid.box.dim
+    sq = 0.0
+    for d, (ax, c) in enumerate(zip(grid.axes(), center)):
+        diff = (ax - c).reshape((-1,) + (1,) * (dim - 1 - d))
+        sq = sq + diff * diff
+    return np.sqrt(sq).ravel()
+
+
+def _gh_gap(lo: np.ndarray, hi: np.ndarray, ref_lo: float, ref_hi: float) -> np.ndarray:
+    """gH distance of each pair ``[lo, hi]`` to ``[ref_lo, ref_hi]``.
+
+    An endpoint equal to its reference is 0 away, also when both are
+    infinite; a NaN distance reads +inf.
+    """
+    with np.errstate(all="ignore"):
+        dlo = np.where(lo == ref_lo, 0.0, np.abs(lo - ref_lo))
+        dhi = np.where(hi == ref_hi, 0.0, np.abs(hi - ref_hi))
+        dist = np.maximum(dlo, dhi)
+    return np.where(np.isnan(dist), _INF, dist)
 
 
 def infimum_over(f: IVF, grid: SampleGrid) -> Interval:
     """Componentwise infimum of the sampled values."""
-    _, lo, hi = _grid_values(f, grid)
+    lo, hi = _grid_values(f, grid)
     return Interval(float(lo.min()), float(hi.min()))
 
 
 def is_proper_probe(f: IVF, grid: SampleGrid) -> bool:
     """Somewhere strictly below plus-infinity, nowhere the bottom element."""
-    _, lo, hi = _grid_values(f, grid)
+    lo, hi = _grid_values(f, grid)
     pos_inf_values = (lo == _INF) & (hi == _INF)
     neg_inf_values = (lo == -_INF) & (hi == -_INF)
     return bool((~pos_inf_values).any() and not neg_inf_values.any())
@@ -566,13 +611,8 @@ def argmin_over(f: IVF, grid: SampleGrid, tol: float) -> np.ndarray:
     Infinite endpoints of the infimum must be matched exactly; the finite gap
     is measured in the gH-distance.  Empty when the infimum is plus-infinity.
     """
-    pts, lo, hi = _grid_values(f, grid)
+    lo, hi = _grid_values(f, grid)
     m_lo, m_hi = float(lo.min()), float(hi.min())
     if m_lo == _INF and m_hi == _INF:
-        return pts[:0]
-    with np.errstate(all="ignore"):
-        dlo = np.where(lo == m_lo, 0.0, np.abs(lo - m_lo))
-        dhi = np.where(hi == m_hi, 0.0, np.abs(hi - m_hi))
-        dist = np.maximum(dlo, dhi)
-    dist = np.where(np.isnan(dist), _INF, dist)
-    return pts[dist <= tol]
+        return _grid_points_at(grid, np.arange(0))
+    return _grid_points_at(grid, np.flatnonzero(_gh_gap(lo, hi, m_lo, m_hi) <= tol))

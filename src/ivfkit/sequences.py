@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfiniteTerm, NotMonotone, Unbounded
-from .interval import Interval, gh_dist, preceq
+from .interval import Interval
 
 __all__ = [
     "DEFAULT_HORIZON",

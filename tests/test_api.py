@@ -1,6 +1,8 @@
 """Top-level package surface stays importable and wired together."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -41,3 +43,36 @@ def test_runs_without_scipy():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ivfkit.__file__))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_guard_sees_a_dead_import():
+    source = "from __future__ import annotations\nimport os, sys\nfrom typing import Optional\n" \
+             "def f(x: Optional[int]):\n    return sys.argv\n"
+    assert unused_imports(source) == ["os (line 2)"]
+
+
+def test_no_unused_imports_in_modules():
+    # __init__.py is left out: its imports are the package's re-exports
+    package = pathlib.Path(ivfkit.__file__).parent
+    found = {
+        path.name: unused
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for unused in [unused_imports(path.read_text(encoding="utf-8"))]
+        if unused
+    }
+    assert found == {}

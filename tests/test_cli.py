@@ -121,6 +121,39 @@ class TestEvp:
         assert code == 1
         assert json.loads(err)["error"] == "HypothesisViolated"
 
+    def test_sweep_evaluates_each_grid_once(self, capsys, monkeypatch):
+        # a 2x2 sweep evaluates F once on the search grid and once on the
+        # verify grid; the allowance per cell covers the three refinement
+        # grids of 21^dim points and the single-point evaluations
+        import dataclasses
+
+        from ivfkit import cli
+        from ivfkit.catalog import get_function
+
+        entry = get_function("paper-levelset")
+        seen = []
+
+        def counted(pts):
+            seen.append(len(pts))
+            return entry.ivf.lower(pts)
+
+        counted_entry = dataclasses.replace(
+            entry, ivf=dataclasses.replace(entry.ivf, lower=counted)
+        )
+        monkeypatch.setattr(cli, "get_function", lambda label: counted_entry)
+        res, verify_res, dim, cells = 61, 121, 2, 4
+        code, report = run_json(
+            [
+                "evp", "--fn", "paper-levelset", "--xbar", "0.1,0.1",
+                "--eps", "0.3,0.8", "--delta", "1.2,2", "--box", "-3:3,-3:3",
+                "--res", f"{res},{res}", "--verify-res", f"{verify_res},{verify_res}",
+            ],
+            capsys,
+        )
+        assert code == 0 and report["verdict"] == {"all_ok": True, "cells": cells}
+        allowance = cells * (3 * 21**dim + 50)
+        assert sum(seen) <= res**dim + verify_res**dim + allowance
+
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(
             [

@@ -103,6 +103,93 @@ class TestEvaluation:
         assert np.allclose(fld(np.array([[1.0], [3.0]])), [1.0, 9.0])
 
 
+def _where(guard, then, other):
+    return np.where(guard, then, other)
+
+
+# written-out numpy for the endpoints of every expression-defined catalog entry
+# (indicator-segment is built from Python lambdas, not expressions)
+CATALOG_FORMULAS = {
+    "paper-lsc-sin": (
+        lambda x, y: _where(x * y != 0, np.minimum(np.sin(1 / x), 2 * np.sin(1 / x)) + np.cos(y) ** 2, -2),
+        lambda x, y: _where(x * y != 0, np.maximum(np.sin(1 / x), 2 * np.sin(1 / x)) + np.cos(y) ** 2, -1),
+    ),
+    "paper-endpoint-rational": (
+        lambda x, y: _where(x * y != 0, np.abs(x * y) / (2 * x**2 + y**2), 0),
+        lambda x, y: _where(x * y != 0, np.exp(np.abs(6 * x * y)) / (x**2 + y**2), 0),
+    ),
+    "paper-levelset": (
+        lambda x, y: x**2 + 3 * np.exp(y**2),
+        lambda x, y: 2 * x**2 + 4 * np.exp(y**2),
+    ),
+    "paper-argmin": (
+        lambda x, y: _where(x != 0, -1 / np.abs(x), -np.inf),
+        lambda x, y: _where(x != 0, np.exp(-1 / np.abs(x) + y**2), 0),
+    ),
+    "paper-proper": (lambda x, y: x, lambda x, y: np.exp(x) + y**2),
+    "quadratic": (lambda x: x**2, lambda x: 2 * x**2),
+    "constant": (lambda x: np.full(x.shape, 1.0), lambda x: np.full(x.shape, 2.0)),
+    "abs-pair": (lambda x: np.abs(x), lambda x: 2 * np.abs(x)),
+    "step-upper": (lambda x: np.full(x.shape, -1.0), lambda x: _where(x <= 0, 1, 0)),
+    "linear-pair": (lambda x: np.minimum(x, 2 * x), lambda x: np.maximum(x, 2 * x)),
+    "plateau": (
+        lambda x: np.maximum(np.abs(x) - 1, 0),
+        lambda x: 2 * np.maximum(np.abs(x) - 1, 0),
+    ),
+}
+
+
+class TestCompiled:
+    def test_formula_table_covers_the_catalog(self):
+        from ivfkit.catalog import catalog
+
+        assert set(CATALOG_FORMULAS) == {e.label for e in catalog()} - {"indicator-segment"}
+
+    @pytest.mark.parametrize("label", sorted(CATALOG_FORMULAS))
+    def test_catalog_expressions_match_numpy_to_one_ulp(self, label):
+        from ivfkit.catalog import get_function
+        from ivfkit.ivf import SampleGrid
+
+        entry = get_function(label)
+        # an odd grid holds the axes, where the piecewise guards switch
+        grid = SampleGrid(entry.box, (41,) * entry.ivf.dim)
+        rng = np.random.default_rng(3)
+        lows = np.array([a for a, _ in entry.box.bounds])
+        highs = np.array([b for _, b in entry.box.bounds])
+        pts = np.vstack([grid.points(), rng.uniform(lows, highs, (200, entry.ivf.dim))])
+        with np.errstate(all="ignore"):
+            for fld, formula in zip((entry.ivf.lower, entry.ivf.upper), CATALOG_FORMULAS[label]):
+                got = fld(pts)
+                want = np.asarray(formula(*pts.T), dtype=float)
+                assert got.shape == want.shape == (len(pts),)
+                close = (got == want) | (np.abs(got - want) <= np.spacing(np.abs(want)))
+                assert close.all(), pts[~close][:5]
+
+    @pytest.mark.parametrize("text, value", [("2", [2.0, 2.0, 2.0]), ("inf", [math.inf] * 3)])
+    def test_constant_expression_is_an_array(self, text, value):
+        got = ev(text, [0.5, 1.0], [-1.0, 0.0], [0.0, 0.0])
+        assert isinstance(got, np.ndarray) and got.tolist() == value
+
+    def test_piecewise_of_constants_is_an_array(self):
+        got = ev("piecewise(x1 > 0, 1, -1)", [2.0], [-3.0], [0.0])
+        assert isinstance(got, np.ndarray) and got.tolist() == [1.0, -1.0, -1.0]
+
+    def test_constant_subtrees_fold_to_numpy_scalars(self):
+        from ivfkit.expr import _compile
+
+        assert type(_compile(parse_expr("2 * 3 + 1 / 0"))) is np.float64
+        assert _compile(parse_expr("2 * 3 + 1 / 0")) == math.inf
+        assert callable(_compile(parse_expr("(1 + 2) * x1")))
+        assert ev("(1 + 2) * x1 ^ (4 / 2)", [2.0])[0] == 12.0
+
+    def test_variable_out_of_range_after_compiling(self):
+        ev("x2 + 1", [1.0, 2.0])
+        with pytest.raises(UnknownIdentifier):
+            ev("x3", [1.0, 2.0])
+        with pytest.raises(UnknownIdentifier):
+            ev("x2 + 1", [1.0])
+
+
 # the tokenizer only emits non-negative literals (unary minus wraps negatives),
 # so parser-reachable trees never hold a negative Num
 EXPR_LEAVES = st.one_of(

@@ -31,6 +31,10 @@ from ivfkit.ivf import (
     level_member,
     level_member_mask,
     lower_limit,
+    _gh_gap,
+    _grid_distances,
+    _grid_points_at,
+    _grid_values,
     _halton_directions,
     sample_level_set,
     unit_ball_points,
@@ -174,6 +178,52 @@ class TestBoxAndGrid:
         # fill every cell of width base**-3 exactly once
         _, u = _halton_directions(dim, base**3, seed=7)
         assert sorted(np.floor(u * base**3).astype(int)) == list(range(base**3))
+
+
+    def test_grid_memo_is_read_only_and_outside_equality(self):
+        box = Box(((-1.0, 1.0), (0.0, 2.0)))
+        grid, twin = SampleGrid(box, (5, 7)), SampleGrid(box, (5, 7))
+        f = IVF(2, lambda P: P[:, 0] + P[:, 1], lambda P: P[:, 0] + 2 * P[:, 1], "plane")
+        lo, hi = _grid_values(f, grid)
+        assert _grid_values(f, grid)[0] is lo
+        # the memo does not hash the function, so unhashable fields work too
+        class Field:
+            __hash__ = None
+
+            def __call__(self, P):
+                return P[:, 0] - 10.0
+
+        g = IVF(2, Field(), Field(), "unhashable")
+        assert infimum_over(g, grid) == Interval(-11.0, -11.0)
+        assert not lo.flags.writeable and not hi.flags.writeable
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
+        assert np.array_equal(lo, f.values(grid.points())[0])
+        assert grid == twin and hash(grid) == hash(twin)
+        assert "memo" not in repr(grid)
+
+    @pytest.mark.parametrize("res", [(9,), (7, 5), (4, 5, 3)])
+    def test_grid_lookups_match_the_points_exactly(self, res):
+        # distances by broadcasting the axes and points by index, bit for bit
+        # against the enumerated points
+        box = Box(tuple((-1.5 + 0.1 * d, 2.0 - 0.3 * d) for d in range(len(res))))
+        grid = SampleGrid(box, res)
+        pts = grid.points()
+        center = np.linspace(0.3, -0.7, len(res))
+        ref = np.linalg.norm(pts - center[None, :], axis=1)
+        assert np.array_equal(_grid_distances(grid, center), ref)
+        flat = np.array([0, grid.size - 1, grid.size // 2, 1])
+        assert np.array_equal(_grid_points_at(grid, flat), pts[flat])
+        assert _grid_points_at(grid, np.arange(0)).shape == (0, len(res))
+
+    def test_gh_gap_rules(self):
+        inf = math.inf
+        lo = np.array([1.0, inf, -inf, 3.0, inf])
+        hi = np.array([2.0, inf, 5.0, 4.0, 1.0])
+        # equal endpoints are 0 apart, also at infinity; NaN reads +inf
+        assert _gh_gap(lo, hi, inf, inf).tolist() == [inf, 0.0, inf, inf, inf]
+        assert _gh_gap(lo, hi, 1.0, 2.0).tolist() == [0.0, inf, inf, 2.0, inf]
+        assert _gh_gap(np.array([np.nan]), np.array([0.0]), 0.0, 0.0).tolist() == [inf]
 
 
 class TestEvaluation:
