@@ -66,6 +66,17 @@ class DirectionalDerivative:
         }
 
 
+def _checked_ladder(ladder: Sequence[float]) -> tuple[float, ...]:
+    """``ladder`` as floats; raises ValueError unless it has at least two
+    rungs, decreases strictly and stays positive."""
+    ladder = tuple(float(v) for v in ladder)
+    if len(ladder) < 2 or ladder[-1] <= 0:
+        raise ValueError("lambda ladder needs at least two positive rungs")
+    if any(nxt >= prev for nxt, prev in zip(ladder[1:], ladder[:-1])):
+        raise ValueError("lambda ladder must be strictly decreasing")
+    return ladder
+
+
 def gateaux_derivative(
     f: IVF,
     xbar,
@@ -74,11 +85,7 @@ def gateaux_derivative(
     tol: float = 1e-6,
 ) -> DirectionalDerivative:
     """One-sided gH-difference quotient limit of ``f`` at ``xbar`` along ``h``."""
-    ladder = tuple(float(v) for v in ladder)
-    if len(ladder) < 2 or ladder[-1] <= 0:
-        raise ValueError("lambda ladder needs at least two positive rungs")
-    if any(nxt >= prev for nxt, prev in zip(ladder[1:], ladder[:-1])):
-        raise ValueError("lambda ladder must be strictly decreasing")
+    ladder = _checked_ladder(ladder)
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     h = np.asarray(h, dtype=float).reshape(-1)
     base = f(xbar)

@@ -77,6 +77,7 @@ def ivf_from_expressions(
         upper=compile_field(upper_ast),
         label=label,
         domain=domain,
+        joint=compile_field((lower_ast, upper_ast)),
     )
 
 

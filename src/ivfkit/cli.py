@@ -29,7 +29,7 @@ from .catalog import (
     ivf_from_expressions,
     sequence_catalog,
 )
-from .calculus import gateaux_derivative
+from .calculus import _checked_ladder, gateaux_derivative
 from .ekeland import (
     EkelandInput,
     evp_gateaux,
@@ -37,7 +37,7 @@ from .ekeland import (
     level_bound_lemma_check,
     verify_certificate,
 )
-from .errors import IvfkitError
+from .errors import InvalidEndpoints, IvfkitError
 from .interval import (
     Interval,
     format_interval,
@@ -118,6 +118,13 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        for name in ("at", "dir", "xbar"):
+            if getattr(self, name) is not None:
+                _parse_point(getattr(self, name))
+        if self.deltas is not None:
+            ProbeParams(delta_ladder=self.deltas)
+        if self.ladder is not None:
+            _checked_ladder(self.ladder)
 
     @classmethod
     def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
@@ -137,7 +144,10 @@ def _parse_box(text: str) -> Box:
         if not _:
             raise argparse.ArgumentTypeError(f"box bound {part!r} is not lo:hi")
         bounds.append((float(lo), float(hi)))
-    return Box(tuple(bounds))
+    try:
+        return Box(tuple(bounds))
+    except InvalidEndpoints as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_resolution(text: str) -> tuple[int, ...]:
@@ -519,8 +529,17 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None)
 
 
+class _UsageError(Exception):
+    """Malformed command line or config file; the CLI exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ivfkit",
         description="Interval-valued function calculus and certified approximate minimization",
     )
@@ -588,6 +607,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise _UsageError("--config needs a file path")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2 :]
     injected: list[str] = []
@@ -637,32 +658,28 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
+def _fail(message: object, name: str, code: int) -> int:
+    print(json.dumps({"error": name, "message": str(message)}, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command line; exit code 0 on success, 1 on a failed check or a
+    domain error, 2 on a usage error.  Errors are one line of JSON on stderr."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
+        argv = _normalize_argv(_apply_config(argv))
+        config = RunConfig.from_namespace(build_parser().parse_args(argv))
     except OSError as exc:
-        print(f"ivfkit: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    argv = _normalize_argv(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = RunConfig.from_namespace(args)
-    except ValueError as exc:
-        print(f"ivfkit: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"cannot read config: {exc}", "UsageError", 2)
+    except (_UsageError, ValueError) as exc:
+        return _fail(exc, "UsageError", 2)
     try:
         return run(config)
-    except IvfkitError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 1
-    except KeyError as exc:
-        print(json.dumps({"error": "KeyError", "message": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 1
+    except argparse.ArgumentTypeError as exc:
+        return _fail(exc, "UsageError", 2)
+    except (IvfkitError, KeyError) as exc:
+        return _fail(exc, type(exc).__name__, 1)
 
 
 if __name__ == "__main__":

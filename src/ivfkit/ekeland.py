@@ -7,10 +7,20 @@ dominance order) and a trade-off rate ``delta``, the search returns a point
 and strict minimality of ``x0`` for the ``x0``-centered perturbation over the
 sampled grid.  Uniqueness is reported as evidence over the sample set, never
 as a proof; tolerance-scale ties (plateaus) are surfaced as warnings.
+
+The strict-minimality scan and stage 1 of the search read only the grid
+points of a ball.  A point ``x`` can tie with ``F(x0)`` at ``tol`` or fail to
+be strictly dominated by it only if ``delta*|x - x0| <= max(F(x0).lo - min lo,
+F(x0).hi - min hi) + tol``, the minima taken over the grid: the same
+inequality that bounds ``|x0 - xbar|`` by ``eps/delta`` in the theorem.
+Stage 1 uses it with ``F(xbar)`` in place of ``F(x0)``.  ``_cone_radius``
+gives the radius, ``ivf._grid_window`` the index window, and an infinite
+endpoint makes the window the whole grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,7 +38,16 @@ from .interval import (
     preceq,
 )
 from .ivf import IVF, Box, SampleGrid, argmin_over, infimum_over, is_proper_probe
-from .ivf import _gh_gap, _grid_distances, _grid_points_at, _grid_values
+from .ivf import (
+    _endpoints,
+    _gh_gap,
+    _grid_distances,
+    _grid_points_at,
+    _grid_values,
+    _grid_window,
+    _window_to_grid,
+    _window_values,
+)
 
 __all__ = [
     "EkelandInput",
@@ -137,22 +156,50 @@ def perturbed(f: IVF, delta: float, center) -> IVF:
     def cone(pts: np.ndarray) -> np.ndarray:
         return delta * np.linalg.norm(pts - center[None, :], axis=1)
 
+    def joint(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = _endpoints(f, pts)
+        shift = cone(pts)
+        return np.asarray(lo, float) + shift, np.asarray(hi, float) + shift
+
     return IVF(
         dim=f.dim,
         lower=lambda pts: np.asarray(lower(pts), float) + cone(pts),
         upper=lambda pts: np.asarray(upper(pts), float) + cone(pts),
         label=f"{f.label}+{delta:g}*dist",
         domain=f.domain,
+        joint=joint,
     )
+
+
+def _cone_radius(value: Interval, floor: Interval, tol: float, delta: float) -> float:
+    """Distance beyond which ``F(x) + delta*|x - c|`` exceeds ``value`` by more
+    than ``tol`` in both endpoints, wherever ``F(x)`` dominates ``floor``.
+
+    Farther grid points cannot tie with ``value`` at ``tol``, nor fail to be
+    strictly dominated by it: the bound ``|x0 - xbar| <= eps/delta`` of the
+    theorem, with ``value`` in place of ``F(xbar)``.  The slack is many times
+    the rounding of the sums compared against ``tol``.  Infinite when an
+    endpoint is.
+    """
+    ends = (value.lo, value.hi, floor.lo, floor.hi)
+    if not all(math.isfinite(e) for e in ends):
+        return math.inf
+    reach = max(value.lo - floor.lo, value.hi - floor.hi, 0.0) + tol
+    return (reach + 64 * math.ulp(max(abs(e) for e in ends + (reach,)))) / delta
 
 
 def _strict_minimality_scan(
     f: IVF, x0: np.ndarray, delta: float, grid: SampleGrid, tie_tol: float
 ) -> tuple[int, list[tuple[float, ...]], list[tuple[float, ...]]]:
-    """Check ``F(x0)`` strictly dominates ``F(x) + delta*|x-x0|`` off ``x0``."""
+    """Check ``F(x0)`` strictly dominates ``F(x) + delta*|x-x0|`` off ``x0``.
+
+    Only the window of the ball of ``_cone_radius`` around ``x0`` is scanned;
+    every point outside it is off ``x0`` and strictly dominated, with no tie.
+    """
     v0 = f(x0)
-    lo, hi = _grid_values(f, grid)
-    r = _grid_distances(grid, x0)
+    window = _grid_window(grid, x0, _cone_radius(v0, infimum_over(f, grid), tie_tol, delta))
+    lo, hi = (_window_values(grid, v, window) for v in _grid_values(f, grid))
+    r = _grid_distances(grid, x0, window)
     off = r > 0
     plo = lo + delta * r
     phi = hi + delta * r
@@ -161,9 +208,13 @@ def _strict_minimality_scan(
     with np.errstate(all="ignore"):
         gap = np.maximum(np.abs(plo - v0.lo), np.abs(phi - v0.hi))
     tie = off & dominated & (gap <= tie_tol)
-    violations = [tuple(p) for p in _grid_points_at(grid, np.flatnonzero(bad)).tolist()]
-    ties = [tuple(p) for p in _grid_points_at(grid, np.flatnonzero(tie)).tolist()]
-    return int(off.sum()), violations, ties
+
+    def points(mask: np.ndarray) -> list[tuple[float, ...]]:
+        flat = _window_to_grid(grid, window, np.flatnonzero(mask))
+        return [tuple(p) for p in _grid_points_at(grid, flat).tolist()]
+
+    checked = grid.size - len(r) + int(off.sum())
+    return checked, points(bad), points(tie)
 
 
 def _pick_witness(
@@ -187,6 +238,41 @@ def _pick_witness(
     return best
 
 
+def _stage1_near_set(
+    f: IVF, grid: SampleGrid, xbar: np.ndarray, value_xbar: Interval, inf_f: Interval,
+    delta: float, tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points within ``tol`` of the minimum of ``F + delta*|x - xbar|`` over
+    the grid plus ``xbar`` itself, with their values of ``F``.
+
+    ``xbar`` comes last when it qualifies: the cone's kink sits exactly there,
+    and grid points only approximate it.  The cone adds the same scalar to
+    both endpoints, so its values come from those of ``F`` on the grid.  Only
+    the window of the ball of ``_cone_radius`` around ``xbar`` is read: points
+    off it have cone values above ``F(xbar) + tol`` in both endpoints, while
+    the ``xbar`` row is ``F(xbar)``, so they hold neither cone minimum nor a
+    point of the near-set.
+    """
+    window = _grid_window(grid, xbar, _cone_radius(value_xbar, inf_f, tol, delta))
+    glo, ghi = (_window_values(grid, v, window) for v in _grid_values(f, grid))
+    pool_lo = np.append(glo, value_xbar.lo)
+    pool_hi = np.append(ghi, value_xbar.hi)
+    shift = delta * np.append(_grid_distances(grid, xbar, window), 0.0)
+    cone_lo, cone_hi = pool_lo + shift, pool_hi + shift
+    near = np.flatnonzero(
+        _gh_gap(cone_lo, cone_hi, float(cone_lo.min()), float(cone_hi.min())) <= tol
+    )
+    if len(near) == 0:
+        raise EmptyArgmin(
+            "stage-1 argmin is empty: no sampled point is within tol of both "
+            "endpoint minima (grid too coarse, or the endpoint minimizers split)"
+        )
+    points = _grid_points_at(grid, _window_to_grid(grid, window, near[near < len(glo)]))
+    if near[-1] == len(glo):
+        points = np.vstack([points, xbar[None, :]])
+    return points, pool_lo[near], pool_hi[near]
+
+
 def evp_search(inp: EkelandInput) -> EkelandCertificate:
     """Two-stage perturbed-argmin search with local refinement.
 
@@ -206,29 +292,10 @@ def evp_search(inp: EkelandInput) -> EkelandCertificate:
             f"of the sampled infimum {inf_f!r}"
         )
 
-    cone = perturbed(f, inp.delta, xbar)
-    # stage 1 minimizes the cone over the grid plus xbar itself (the last
-    # row): the cone's kink sits exactly at xbar, and grid points only
-    # approximate it.  The cone adds delta*|x - xbar| to both endpoints
-    # alike, so its values come from those of f without evaluating again.
-    glo, ghi = _grid_values(f, inp.grid)
-    pool_lo = np.append(glo, value_xbar.lo)
-    pool_hi = np.append(ghi, value_xbar.hi)
-    shift = inp.delta * np.append(_grid_distances(inp.grid, xbar), 0.0)
-    cone_lo, cone_hi = pool_lo + shift, pool_hi + shift
-    near = np.flatnonzero(
-        _gh_gap(cone_lo, cone_hi, float(cone_lo.min()), float(cone_hi.min())) <= inp.tol
-    )
-    if len(near) == 0:
-        raise EmptyArgmin(
-            "stage-1 argmin is empty: no sampled point is within tol of both "
-            "endpoint minima (grid too coarse, or the endpoint minimizers split)"
-        )
-    stage1 = _grid_points_at(inp.grid, near[near < inp.grid.size])
-    if near[-1] == inp.grid.size:
-        stage1 = np.vstack([stage1, xbar[None, :]])
-    x0 = _pick_witness(stage1, pool_lo[near], pool_hi[near], xbar, inp.tol)
+    stage1, lo, hi = _stage1_near_set(f, inp.grid, xbar, value_xbar, inf_f, inp.delta, inp.tol)
+    x0 = _pick_witness(stage1, lo, hi, xbar, inp.tol)
 
+    cone = perturbed(f, inp.delta, xbar)
     spacing = inp.grid.spacing()
     for _ in range(REFINEMENT_ROUNDS):
         local = Box(

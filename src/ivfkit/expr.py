@@ -5,12 +5,17 @@ Supported nodes: numeric constants (including ``inf``), variables ``x1..xN``,
 ``max``, and ``piecewise(guard, then, else)`` whose guard is a comparison of
 two subexpressions.  The function set is frozen; there are no user plugins.
 
-Evaluation is vectorized over an ``(N, dim)`` array of points.  Each tree is
-compiled once into nested closures over numpy ufuncs: constants stay numpy
-scalars (so ``x1^2`` squares instead of raising to an array of exponents), and
-constant subtrees are folded at compile time.  Both branches of a piecewise
-are evaluated everywhere, so they may produce non-finite intermediates that
-the selected branch discards.
+Evaluation is vectorized over an ``(N, dim)`` array of points.  A tree, or a
+tuple of trees such as the two endpoints of a function, is compiled once into
+straight-line code over numpy ufuncs in which each distinct subtree is one
+step, so a subtree the endpoints share (``exp(x2^2)``) is computed once per
+call.  Constants stay numpy scalars (so ``x1^2`` squares instead of raising
+to an array of exponents), constant subtrees are folded at compile time, an
+intermediate is dropped after its last use, and on 64 points or more a step
+that reads an intermediate for the last time writes into its buffer.  Every
+value has the bits it has when each tree is evaluated on its own.  Both branches of a
+piecewise are evaluated everywhere, so they may produce non-finite
+intermediates that the selected branch discards.
 """
 
 from __future__ import annotations
@@ -44,7 +49,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Num:
+    """A constant.  Two are equal when their values have the same bits, so
+    ``Num(0.0) != Num(-0.0)``: ``1/0`` and ``1/-0`` differ, and compiled code
+    and shared subtrees, keyed on nodes, keep the sign of zero."""
+
     value: float
+
+    def __eq__(self, other):
+        if type(other) is not Num:
+            return NotImplemented
+        return float(self.value).hex() == float(other.value).hex()
 
 
 @dataclass(frozen=True)
@@ -277,14 +291,20 @@ def ast_to_text(node: ExprAST) -> str:
     return _render(node, 0)
 
 
-def eval_expr(node: ExprAST, points: np.ndarray) -> np.ndarray:
-    """Evaluate on an (N, dim) array of points, returning an (N,) array."""
+def eval_expr(
+    node: Union[ExprAST, tuple[ExprAST, ...]], points: np.ndarray
+) -> Union[np.ndarray, tuple[np.ndarray, ...]]:
+    """Evaluate on an (N, dim) array of points, returning an (N,) array.
+
+    ``node`` may also be a tuple of nodes: they are evaluated in one pass that
+    computes each distinct subtree once, and a tuple of (N,) arrays returns.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     code = _compile(node)
     with np.errstate(all="ignore"):
-        if callable(code):
-            return code(pts)
-        return np.full(pts.shape[0], code)
+        if not isinstance(code, _Program):
+            return np.full(pts.shape[0], code)
+        return code(pts)
 
 
 _BINARY = {
@@ -298,56 +318,201 @@ _COMPARE = {
     ">": operator.gt, ">=": operator.ge,
 }
 _UNARY_CALLS = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+# The same operations as ufuncs that take their output buffer last, to write
+# into an operand read for the last time.  "^" does that only through its
+# base, with ``**=``, which keeps the scalar-exponent path of ``**``.
+_INTO = {
+    operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
+    operator.truediv: np.true_divide, operator.neg: np.negative,
+    np.abs: np.abs, np.sin: np.sin, np.cos: np.cos, np.exp: np.exp,
+    # these two take ``out`` by keyword only
+    np.minimum: lambda a, b, out: np.minimum(a, b, out=out),
+    np.maximum: lambda a, b, out: np.maximum(a, b, out=out),
+}
 
 
-def _lift(op: Callable, *parts):
-    """``op`` over compiled parts: folded to a constant now when every part is
-    one, else a closure over the points."""
-    if not any(callable(p) for p in parts):
-        with np.errstate(all="ignore"):
-            out = op(*parts)
-        return out[()] if isinstance(out, np.ndarray) else out
-    fns = [p if callable(p) else (lambda pts, c=p: c) for p in parts]
-    return lambda pts: op(*[fn(pts) for fn in fns])
+class _Ref(int):
+    """A value computed per call: the points (-1) or the output of step k."""
+
+
+_POINTS = _Ref(-1)
+
+
+def _column(index: int) -> Callable:
+    col = index - 1
+
+    def var(pts: np.ndarray) -> np.ndarray:
+        if col >= pts.shape[1]:
+            raise UnknownIdentifier(f"x{index} out of range for dimension {pts.shape[1]}")
+        return pts[:, col]
+
+    return var
+
+
+def _full(pts: np.ndarray, value) -> np.ndarray:
+    return np.full(pts.shape[0], value)
+
+
+def _fold(op: Callable, *parts):
+    with np.errstate(all="ignore"):
+        out = op(*parts)
+    return out[()] if isinstance(out, np.ndarray) else out
+
+
+def _ops(node: ExprAST) -> list[tuple[Callable, tuple]]:
+    """The operations computing ``node`` from its children, in order; each
+    after the first also takes the previous one's result (``min``/``max``
+    of more than two arguments)."""
+    if isinstance(node, Unary):
+        return [(operator.neg, (node.operand,))]
+    if isinstance(node, Binary):
+        return [(_BINARY[node.op], (node.left, node.right))]
+    if isinstance(node, Compare):
+        return [(_COMPARE[node.op], (node.left, node.right))]
+    if isinstance(node, Call) and node.fn in _UNARY_CALLS:
+        return [(_UNARY_CALLS[node.fn], node.args)]
+    if isinstance(node, Call):
+        fold = np.minimum if node.fn == "min" else np.maximum
+        return [(fold, node.args[:2])] + [(fold, (a,)) for a in node.args[2:]]
+    if isinstance(node, Piecewise):
+        return [(np.where, (node.guard, node.then, node.other))]
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _emit(node: ExprAST, code: list, seen: dict):
+    """The value of ``node``: a numpy scalar when it is constant, else the
+    ``_Ref`` of the step computing it, appended to ``code`` as
+    ``(op, parts, fresh)`` unless ``seen`` already holds an equal subtree.
+    ``fresh`` marks a float array of the step's own, never a view of the
+    points."""
+    hit = seen.get(node)
+    if hit is not None:
+        return hit
+    if isinstance(node, Num):
+        out = np.float64(node.value)
+    elif isinstance(node, Var):
+        code.append((_column(node.index), (_POINTS,), False))
+        out = _Ref(len(code) - 1)
+    else:
+        out = None
+        for op, children in _ops(node):
+            parts = ([] if out is None else [out]) + [_emit(c, code, seen) for c in children]
+            if any(isinstance(p, _Ref) for p in parts):
+                code.append((op, tuple(parts), not isinstance(node, Compare)))
+                out = _Ref(len(code) - 1)
+            else:
+                out = _fold(op, *parts)
+    seen[node] = out
+    return out
+
+
+# Writing into an operand pays off from a few dozen points on; on a single
+# point it costs more per ufunc call than allocating the result does.
+_INTO_MIN_POINTS = 64
+
+
+def _bind(fn: Callable, args: tuple[int, ...]) -> Callable:
+    """``fn`` of the values in slots ``args``, as a function of the slot list."""
+    if len(args) == 1:
+        (a,) = args
+        return lambda s: fn(s[a])
+    if len(args) == 2:
+        a, b = args
+        return lambda s: fn(s[a], s[b])
+    a, b, c = args
+    return lambda s: fn(s[a], s[b], s[c])
+
+
+def _plan(code: list, values: list, into: bool) -> tuple[list, list, tuple[int, ...]]:
+    """Slots, steps and root slots of the code, writing into operands or not.
+
+    Slot 0 holds the points, and each constant operand sits in a slot of its
+    own.  A step ``(run, out, dead)`` stores ``run(slots)`` in ``out``, then
+    empties the ``dead`` slots, whose values it read last, so no intermediate
+    outlives its last use.  With ``into``, a step that reads a fresh array for
+    the last time writes its result into that array.
+    """
+    last = {}
+    for k, (_, parts, _) in enumerate(code):
+        for p in parts:
+            if isinstance(p, _Ref):
+                last[p] = k
+    for v in values:
+        last[v] = len(code)
+    slots: list = [None]
+    at = {_POINTS: 0}
+    steps = []
+    for k, (op, parts, _) in enumerate(code):
+        args = []
+        for p in parts:
+            if isinstance(p, _Ref):
+                args.append(at[p])
+            else:
+                args.append(len(slots))
+                slots.append(p)
+        target = [
+            j for j, p in enumerate(parts)
+            if into and isinstance(p, _Ref) and p >= 0 and code[p][2] and last[p] == k
+            and (op in _INTO or (op is operator.pow and j == 0))
+        ]
+        if target and op is operator.pow:
+            fn, out = operator.ipow, args[0]
+        elif target:
+            fn, out = _INTO[op], args[target[0]]
+            args.append(out)
+        else:
+            fn, out = op, len(slots)
+            slots.append(None)
+        at[_Ref(k)] = out
+        dead = {at[p] for p in parts if isinstance(p, _Ref) and p >= 0 and last[p] == k}
+        steps.append((_bind(fn, tuple(args)), out, tuple(sorted(dead - {out}))))
+    return slots, steps, tuple(at[v] for v in values)
+
+
+class _Program:
+    """Straight-line code computing the values of one or several roots.
+
+    It runs the plan that writes into operands on ``_INTO_MIN_POINTS`` points
+    or more, and the one that allocates every result below that; both give
+    the same bits.  It returns a tuple of arrays when compiled from a tuple
+    of nodes (``many``), else the one array.
+    """
+
+    __slots__ = ("plans", "many")
+
+    def __init__(self, code: list, values: list, many: bool):
+        self.plans = (_plan(code, values, into=False), _plan(code, values, into=True))
+        self.many = many
+
+    def __call__(self, pts: np.ndarray):
+        slots, steps, roots = self.plans[len(pts) >= _INTO_MIN_POINTS]
+        s = slots.copy()
+        s[0] = pts
+        for run, out, dead in steps:
+            s[out] = run(s)
+            for i in dead:
+                s[i] = None
+        return tuple([s[i] for i in roots]) if self.many else s[roots[0]]
 
 
 @lru_cache(maxsize=256)
-def _compile(node: ExprAST):
-    """A closure from an (N, dim) array to the node's (N,) values, or a numpy
-    scalar when the node is constant."""
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        col = node.index - 1
-
-        def var(pts: np.ndarray) -> np.ndarray:
-            if col >= pts.shape[1]:
-                raise UnknownIdentifier(
-                    f"x{node.index} out of range for dimension {pts.shape[1]}"
-                )
-            return pts[:, col]
-
-        return var
-    if isinstance(node, Unary):
-        return _lift(operator.neg, _compile(node.operand))
-    if isinstance(node, Binary):
-        return _lift(_BINARY[node.op], _compile(node.left), _compile(node.right))
-    if isinstance(node, Compare):
-        return _lift(_COMPARE[node.op], _compile(node.left), _compile(node.right))
-    if isinstance(node, Call):
-        args = [_compile(a) for a in node.args]
-        if node.fn in _UNARY_CALLS:
-            return _lift(_UNARY_CALLS[node.fn], args[0])
-        fold = np.minimum if node.fn == "min" else np.maximum
-        out = args[0]
-        for a in args[1:]:
-            out = _lift(fold, out, a)
-        return out
-    if isinstance(node, Piecewise):
-        return _lift(
-            np.where, _compile(node.guard), _compile(node.then), _compile(node.other)
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+def _compile(node):
+    """A numpy scalar when ``node`` is constant, else a ``_Program`` from an
+    (N, dim) array to the node's (N,) values.  A tuple of nodes compiles into
+    one program returning a tuple with a value per node, sharing equal
+    subtrees.
+    """
+    roots = node if isinstance(node, tuple) else (node,)
+    code: list = []
+    seen: dict = {}
+    values = [_emit(r, code, seen) for r in roots]
+    if roots is not node and not isinstance(values[0], _Ref):
+        return values[0]
+    for i, v in enumerate(values):
+        if not isinstance(v, _Ref):
+            code.append((_full, (_POINTS, v), True))
+            values[i] = _Ref(len(code) - 1)
+    return _Program(code, values, many=roots is node)
 
 
 def max_var_index(node: ExprAST) -> int:
@@ -371,10 +536,11 @@ def max_var_index(node: ExprAST) -> int:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_field(node: ExprAST):
-    """Wrap an AST as a vectorized scalar field for interval-valued functions."""
+def compile_field(node: Union[ExprAST, tuple[ExprAST, ...]]):
+    """Wrap an AST as a vectorized scalar field for interval-valued functions;
+    a tuple of ASTs gives a field returning one array per AST, in one pass."""
 
-    def fld(pts: np.ndarray) -> np.ndarray:
+    def fld(pts: np.ndarray):
         return eval_expr(node, pts)
 
     return fld

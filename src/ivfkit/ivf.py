@@ -159,8 +159,13 @@ class SampleGrid:
         return out
 
     def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+        """Every grid point in enumeration order, shape (size, dim)."""
+        axes = self.axes()
+        dim = len(axes)
+        out = np.empty(self.resolution + (dim,))
+        for d, ax in enumerate(axes):
+            out[..., d] = ax.reshape((-1,) + (1,) * (dim - 1 - d))
+        return out.reshape(-1, dim)
 
     def spacing(self) -> np.ndarray:
         return np.array(
@@ -243,13 +248,26 @@ def unit_ball_points(dim: int, count: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IVF:
-    """Interval-valued function given by vectorized lower/upper endpoint fields."""
+    """Interval-valued function given by vectorized lower/upper endpoint fields.
+
+    ``joint``, when given, maps an (N, dim) array to both endpoint arrays at
+    once and must agree with ``lower`` and ``upper``; ``values`` then calls it
+    instead of the two fields, so work the endpoints share is done once.
+    Functions built from expressions have one that computes each common
+    subtree once, and ``ekeland.perturbed`` gives its cone one that evaluates
+    ``f`` and the distance once.  It takes no part in equality or repr, and
+    ``dataclasses.replace`` keeps it: pass ``joint=None`` when replacing an
+    endpoint field.
+    """
 
     dim: int
     lower: ScalarField
     upper: ScalarField
     label: str = ""
     domain: Optional[Box] = None
+    joint: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def values(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate both endpoint fields on an (N, dim) array, with checks."""
@@ -259,8 +277,9 @@ class IVF:
                 f"{self.label!r}: expected points of dimension {self.dim}, got {pts.shape[1]}"
             )
         with np.errstate(all="ignore"):
-            lo = np.asarray(self.lower(pts), dtype=float)
-            hi = np.asarray(self.upper(pts), dtype=float)
+            lo, hi = _endpoints(self, pts)
+            lo = np.asarray(lo, dtype=float)
+            hi = np.asarray(hi, dtype=float)
         if np.isnan(lo).any() or np.isnan(hi).any():
             bad = pts[np.isnan(lo) | np.isnan(hi)][0]
             raise InvalidEndpoints(f"{self.label!r} produced NaN at {bad.tolist()}")
@@ -278,6 +297,13 @@ class IVF:
             raise OutOfDomain(f"{x.tolist()} outside the domain of {self.label!r}")
         lo, hi = self.values(x[None, :])
         return Interval(float(lo[0]), float(hi[0]))
+
+
+def _endpoints(f: IVF, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoint fields of ``f`` at ``pts``, in one pass when ``f`` has one."""
+    if f.joint is not None:
+        return f.joint(pts)
+    return f.lower(pts), f.upper(pts)
 
 
 def _ball(
@@ -568,11 +594,51 @@ def _grid_points_at(grid: SampleGrid, flat: np.ndarray) -> np.ndarray:
     return np.stack([ax[i] for ax, i in zip(grid.axes(), idx)], axis=-1)
 
 
-def _grid_distances(grid: SampleGrid, center: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every grid point to ``center``, in enumeration order."""
+def _grid_window(grid: SampleGrid, center: np.ndarray, radius: float) -> tuple[slice, ...]:
+    """Per-axis index ranges of the grid points in the box around the closed
+    ball ``|x - center| <= radius``; the whole grid when ``radius`` is not
+    finite.
+
+    Each range is found by ``searchsorted`` on the axis and padded outward by
+    a few ulp of the largest coordinate involved, and by at least 1e-150, so
+    the window holds every point whose ``_grid_distances`` value is at most
+    ``radius`` despite rounding, squares that underflow included.
+    """
+    if not math.isfinite(radius):
+        return tuple(slice(0, r) for r in grid.resolution)
+    out = []
+    for ax, c in zip(grid.axes(), center):
+        pad = 8 * math.ulp(max(abs(c), radius, abs(ax[0]), abs(ax[-1]))) + 1e-150
+        lo = int(np.searchsorted(ax, c - radius - pad, side="left"))
+        hi = int(np.searchsorted(ax, c + radius + pad, side="right"))
+        out.append(slice(lo, max(lo, hi)))
+    return tuple(out)
+
+
+def _window_values(grid: SampleGrid, values: np.ndarray, window: tuple[slice, ...]) -> np.ndarray:
+    """The entries of per-point ``values`` inside ``window``, in enumeration order."""
+    return values.reshape(grid.resolution)[window].ravel()
+
+
+def _window_to_grid(grid: SampleGrid, window: tuple[slice, ...], flat: np.ndarray) -> np.ndarray:
+    """Enumeration indices in ``grid`` of the window's enumeration indices ``flat``."""
+    idx = np.unravel_index(flat, tuple(w.stop - w.start for w in window))
+    return np.ravel_multi_index(
+        tuple(i + w.start for i, w in zip(idx, window)), grid.resolution
+    )
+
+
+def _grid_distances(
+    grid: SampleGrid, center: np.ndarray, window: Optional[tuple[slice, ...]] = None
+) -> np.ndarray:
+    """Euclidean distance to ``center`` of every grid point, or of those in
+    ``window``, in enumeration order."""
+    axes = grid.axes()
+    if window is not None:
+        axes = [ax[w] for ax, w in zip(axes, window)]
     dim = grid.box.dim
     sq = 0.0
-    for d, (ax, c) in enumerate(zip(grid.axes(), center)):
+    for d, (ax, c) in enumerate(zip(axes, center)):
         diff = (ax - c).reshape((-1,) + (1,) * (dim - 1 - d))
         sq = sq + diff * diff
     return np.sqrt(sq).ravel()

@@ -135,10 +135,11 @@ class TestEvp:
 
         def counted(pts):
             seen.append(len(pts))
-            return entry.ivf.lower(pts)
+            return entry.ivf.joint(pts)
 
+        # IVF.values takes the joint route, which evaluates both endpoints
         counted_entry = dataclasses.replace(
-            entry, ivf=dataclasses.replace(entry.ivf, lower=counted)
+            entry, ivf=dataclasses.replace(entry.ivf, joint=counted)
         )
         monkeypatch.setattr(cli, "get_function", lambda label: counted_entry)
         res, verify_res, dim, cells = 61, 121, 2, 4
@@ -152,7 +153,7 @@ class TestEvp:
         )
         assert code == 0 and report["verdict"] == {"all_ok": True, "cells": cells}
         allowance = cells * (3 * 21**dim + 50)
-        assert sum(seen) <= res**dim + verify_res**dim + allowance
+        assert res**dim + verify_res**dim <= sum(seen) <= res**dim + verify_res**dim + allowance
 
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(
@@ -166,6 +167,45 @@ class TestEvp:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert "eps" in header and "uniqueness_violations" in header
+
+
+# malformed command lines: exit 2 (usage) or 1 (domain), never a traceback
+MALFORMED = [
+    (["eval", "--fn", "quadratic", "--at=1,x"], 2),
+    (["argmin", "--fn", "quadratic", "--box=1:-1", "--res", "11"], 2),
+    (["probe", "--fn", "quadratic", "--at", "0", "--deltas", "0.1,0.2"], 2),
+    (["derivative", "--fn", "quadratic", "--at", "0", "--dir", "1", "--ladder", "1"], 2),
+    (["eval", "--fn", "quadratic", "--at", "0", "--config"], 2),
+    (["eval", "--at", "0"], 2),
+    (["evp", "--fn", "quadratic"], 2),
+    (["nosuchcommand"], 2),
+    (["--config", "/nonexistent/x.cfg", "eval", "--at", "0"], 2),
+    (["eval", "--fn", "quadratic", "--at", "1,2"], 1),
+    (["eval", "--fn", "no-such-label", "--at", "0"], 1),
+    (["eval", "--lower", "x1 +", "--upper", "x1", "--at", "0"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", MALFORMED, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_malformed_input_exits_with_one_line_of_json(argv, code):
+    import os
+    import subprocess
+    import sys
+
+    import ivfkit
+
+    src = os.path.dirname(os.path.dirname(ivfkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivfkit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"} and err["message"]
+    assert (err["error"] == "UsageError") == (code == 2)
 
 
 class TestSeq:

@@ -15,7 +15,7 @@ from ivfkit.ekeland import (
 )
 from ivfkit.errors import EmptyArgmin, HypothesisViolated, ImproperFunction
 from ivfkit.interval import Interval, gh_dist, gh_sub, nprec, preceq, scalar_mul
-from ivfkit.ivf import IVF, Box, SampleGrid, indicator, add_ivf, infimum_over
+from ivfkit.ivf import IVF, Box, SampleGrid, _grid_values, add_ivf, indicator, infimum_over
 
 BOX = Box(((-2.0, 2.0),))
 GRID = SampleGrid(BOX, (4001,))
@@ -212,3 +212,203 @@ class TestLevelBoundLemma:
     def test_degenerate_radius_three(self):
         grid = SampleGrid(Box(((-4.0, 4.0),)), (81,))
         assert level_bound_lemma_check((0.0,), Interval(3, 3), grid)
+
+
+# -- windowed scan and stage 1 against full-grid references -------------------
+
+
+def full_grid_scan(f, x0, delta, grid, tie_tol, pts=None):
+    """The strict-minimality scan over every grid point, as it was before the
+    scan was restricted to a window: the reference for the windowed scan."""
+    v0 = f(x0)
+    pts = grid.points() if pts is None else pts
+    lo, hi = _grid_values(f, grid)
+    r = np.linalg.norm(pts - x0[None, :], axis=1)
+    off = r > 0
+    plo = lo + delta * r
+    phi = hi + delta * r
+    dominated = (v0.lo <= plo) & (v0.hi <= phi) & ((v0.lo < plo) | (v0.hi < phi))
+    bad = off & ~dominated
+    with np.errstate(all="ignore"):
+        gap = np.maximum(np.abs(plo - v0.lo), np.abs(phi - v0.hi))
+    tie = off & dominated & (gap <= tie_tol)
+    return int(off.sum()), pts[bad], pts[tie]
+
+
+def assert_same_scan(got, want):
+    checked, violations, ties = got
+    assert checked == want[0]
+    for points, ref in ((violations, want[1]), (ties, want[2])):
+        assert len(points) == len(ref)
+        assert all(type(p) is tuple for p in points)
+        assert np.array_equal(np.array(points, dtype=float).reshape(ref.shape), ref)
+
+
+def full_grid_stage1(f, grid, xbar, value_xbar, delta, tol, pts):
+    """Stage 1 of the search over every grid point plus ``xbar``."""
+    from ivfkit.ivf import _gh_gap
+
+    lo, hi = _grid_values(f, grid)
+    pool_lo = np.append(lo, value_xbar.lo)
+    pool_hi = np.append(hi, value_xbar.hi)
+    shift = delta * np.append(np.linalg.norm(pts - xbar[None, :], axis=1), 0.0)
+    cone_lo, cone_hi = pool_lo + shift, pool_hi + shift
+    near = np.flatnonzero(
+        _gh_gap(cone_lo, cone_hi, float(cone_lo.min()), float(cone_hi.min())) <= tol
+    )
+    if len(near) == 0:
+        return None
+    return np.vstack([pts, xbar[None, :]])[near], pool_lo[near], pool_hi[near]
+
+
+def minus_inf_on_part():
+    from ivfkit.catalog import ivf_from_expressions
+
+    return ivf_from_expressions(
+        "piecewise(x1 < -0.5, -inf, x1^2 + x2^2)", "x1^2 + x2^2 + 1", label="minus-inf-part"
+    )
+
+
+def _window_functions():
+    """Label -> (function, box): every catalog entry, plus one whose lower
+    endpoint is -inf on part of the box."""
+    from ivfkit.catalog import catalog
+
+    out = {e.label: (e.ivf, e.box) for e in catalog()}
+    out["minus-inf-part"] = (minus_inf_on_part(), Box(((-1.0, 1.0), (-1.0, 1.0))))
+    return out
+
+
+WINDOW_LABELS = sorted(_window_functions())
+WINDOW_RESOLUTIONS = (11, 41, 101, 257)
+WINDOW_DELTAS = (1e-6, 0.01, 0.5, 2.0, 100.0)
+WINDOW_TOLS = (1e-12, 1e-9, 1e-3, 0.5)
+
+
+def _window_centers(f, grid, pts, rng):
+    """Two grid points (the grid argmin of the lower endpoint and a random
+    one) and the same two moved off the grid by a fraction of the spacing."""
+    lo, _ = _grid_values(f, grid)
+    on = [pts[int(np.argmin(lo))], pts[int(rng.integers(grid.size))]]
+    off = [p + grid.spacing() * rng.uniform(-0.5, 0.5, p.shape) for p in on]
+    return on + off
+
+
+@pytest.mark.parametrize("label", WINDOW_LABELS)
+def test_windowed_scan_matches_full_grid_scan(label):
+    from ivfkit.ekeland import _strict_minimality_scan
+
+    f, box = _window_functions()[label]
+    rng = np.random.default_rng(11)
+    cases = 0
+    for res in WINDOW_RESOLUTIONS:
+        grid = SampleGrid(box, (res,) * f.dim)
+        pts = grid.points()
+        for x0 in _window_centers(f, grid, pts, rng):
+            for delta in WINDOW_DELTAS:
+                for tol in WINDOW_TOLS:
+                    assert_same_scan(
+                        _strict_minimality_scan(f, x0, delta, grid, tol),
+                        full_grid_scan(f, x0, delta, grid, tol, pts),
+                    )
+                    cases += 1
+    assert cases == len(WINDOW_RESOLUTIONS) * 4 * len(WINDOW_DELTAS) * len(WINDOW_TOLS)
+
+
+@pytest.mark.parametrize("label", WINDOW_LABELS)
+def test_windowed_stage1_matches_full_grid(label):
+    from ivfkit.ekeland import _pick_witness, _stage1_near_set
+
+    f, box = _window_functions()[label]
+    rng = np.random.default_rng(12)
+    for res in WINDOW_RESOLUTIONS:
+        grid = SampleGrid(box, (res,) * f.dim)
+        pts = grid.points()
+        inf_f = infimum_over(f, grid)
+        for xbar in _window_centers(f, grid, pts, rng):
+            value_xbar = f(xbar)
+            for delta in WINDOW_DELTAS:
+                for tol in WINDOW_TOLS:
+                    want = full_grid_stage1(f, grid, xbar, value_xbar, delta, tol, pts)
+                    if want is None:
+                        with pytest.raises(EmptyArgmin):
+                            _stage1_near_set(f, grid, xbar, value_xbar, inf_f, delta, tol)
+                        continue
+                    got = _stage1_near_set(f, grid, xbar, value_xbar, inf_f, delta, tol)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (res, xbar, delta, tol)
+                    assert np.array_equal(
+                        _pick_witness(*got, xbar, tol), _pick_witness(*want, xbar, tol)
+                    )
+
+
+def test_window_falls_back_to_the_whole_grid():
+    from ivfkit.ekeland import _cone_radius
+    from ivfkit.ivf import _grid_window
+
+    grid = SampleGrid(Box(((-1.0, 1.0), (-1.0, 1.0))), (41, 41))
+    whole = (slice(0, 41), slice(0, 41))
+    f = minus_inf_on_part()
+    # an infinite lower endpoint among the grid values
+    assert _cone_radius(f((0.0, 0.0)), infimum_over(f, grid), 1e-9, 1.0) == math.inf
+    assert _cone_radius(Interval(math.inf, math.inf), Interval(0, 0), 1e-9, 1.0) == math.inf
+    # a ball larger than the box
+    assert _grid_window(grid, np.zeros(2), 10.0) == whole
+    radius = _cone_radius(Interval(1, 2), Interval(0, 0), 1e-9, 1e-6)
+    assert radius > 1e6 and _grid_window(grid, np.zeros(2), radius) == whole
+
+
+def test_random_scans_match_full_grid_scan():
+    # random quadratic bowls with offsets, on random boxes and resolutions
+    from ivfkit.catalog import ivf_from_expressions
+    from ivfkit.ekeland import _strict_minimality_scan
+
+    rng = np.random.default_rng(13)
+    for _ in range(120):
+        dim = int(rng.integers(1, 4))
+        a, b, c = (float(v) for v in rng.uniform(0.1, 3.0, 3))
+        terms = " + ".join(f"{a!r} * (x{i + 1} - {c!r})^2" for i in range(dim))
+        f = ivf_from_expressions(terms, f"{b!r} + 2 * ({terms})", dim=dim)
+        lows = rng.uniform(-2.0, 0.0, dim)
+        box = Box(tuple((float(lo), float(lo + rng.uniform(0.5, 4.0))) for lo in lows))
+        grid = SampleGrid(box, tuple(int(r) for r in rng.integers(2, 60 if dim < 3 else 15, dim)))
+        x0 = grid.points()[int(rng.integers(grid.size))]
+        if rng.random() < 0.5:
+            x0 = x0 + rng.normal(0.0, 0.3, dim)
+        delta = float(10 ** rng.uniform(-3, 2))
+        tol = float(10 ** rng.uniform(-12, 0))
+        assert_same_scan(
+            _strict_minimality_scan(f, x0, delta, grid, tol), full_grid_scan(f, x0, delta, grid, tol)
+        )
+
+
+def test_ties_on_the_ball_boundary_survive_rounding():
+    # constant functions with tol = delta * (distance of a grid point), so the
+    # ball passes through grid points that tie with x0 at exactly tol, up to
+    # rounding; the window's padding keeps every one the full scan finds
+    from ivfkit.ekeland import _strict_minimality_scan
+    from ivfkit.ivf import _grid_distances
+
+    rng = np.random.default_rng(14)
+    for _ in range(1000):
+        dim = int(rng.integers(1, 3))
+        c1 = float(rng.choice([0.0, 1.0, -3.7, 1e3, 0.1]))
+        c2 = c1 + float(rng.choice([0.0, 0.5, 2.0]))
+        f = constant_ivf(c1, c2) if dim == 1 else IVF(
+            2, lambda P, c=c1: np.full(len(P), c), lambda P, c=c2: np.full(len(P), c)
+        )
+        lows = rng.uniform(-3.0, 1.0, dim)
+        box = Box(tuple((float(a), float(a + rng.uniform(0.1, 5.0))) for a in lows))
+        grid = SampleGrid(box, tuple(int(r) for r in rng.integers(3, 40, dim)))
+        x0 = grid.points()[int(rng.integers(grid.size))]
+        if rng.random() < 0.5:
+            x0 = x0 + rng.normal(0.0, 1e-3, dim)
+        delta = float(10 ** rng.uniform(-2, 2))
+        tol = delta * float(_grid_distances(grid, x0)[int(rng.integers(grid.size))])
+        if rng.random() < 0.3:
+            tol = float(np.nextafter(tol, rng.choice([-math.inf, math.inf])))
+        if tol > 0:
+            assert_same_scan(
+                _strict_minimality_scan(f, x0, delta, grid, tol),
+                full_grid_scan(f, x0, delta, grid, tol),
+            )

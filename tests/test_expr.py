@@ -190,6 +190,137 @@ class TestCompiled:
             ev("x2 + 1", [1.0])
 
 
+def _expression_entries():
+    from ivfkit.catalog import catalog
+
+    return sorted(e.label for e in catalog() if e.ivf.joint is not None)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestJoint:
+    """One pass over a tuple of nodes equals one ``eval_expr`` call per node."""
+
+    def test_expression_entries_are_the_formula_table(self):
+        assert _expression_entries() == sorted(CATALOG_FORMULAS)
+
+    @pytest.mark.parametrize("label", sorted(CATALOG_FORMULAS))
+    @pytest.mark.parametrize("where", ["grid-501", "ball-513", "point"])
+    def test_joint_matches_separate_endpoints(self, label, where):
+        from ivfkit.catalog import get_function
+        from ivfkit.ivf import SampleGrid, unit_ball_points
+
+        f = get_function(label).ivf
+        box = get_function(label).box
+        if where == "grid-501":
+            pts = SampleGrid(box, (501,) * f.dim).points()
+        else:
+            ball = box.center + 0.3 * unit_ball_points(f.dim, 512, 7)
+            pts = np.vstack([box.center[None, :], ball])
+            pts = pts if where == "ball-513" else pts[5:6]
+        lo, hi = f.joint(pts)
+        # bit for bit, which np.array_equal on the uint64 views checks
+        assert _same_bits(lo, f.lower(pts)) and _same_bits(hi, f.upper(pts))
+        assert lo.shape == hi.shape == (len(pts),)
+
+    @given(st.deferred(lambda: st.tuples(expr_trees(), expr_trees())))
+    def test_random_pairs_match_separate_calls(self, pair):
+        from ivfkit.expr import _INTO_MIN_POINTS
+
+        few = np.array([[0.5, -1.5, 2.0], [0.0, 0.0, 0.0], [-3.0, 0.25, 1e-3], [7.0, 2.0, -0.5]])
+        many = np.tile(few, (_INTO_MIN_POINTS // 2, 1))
+        with np.errstate(all="ignore"):
+            for pts in (few, many):
+                joint = eval_expr(pair, pts)
+                assert len(joint) == 2
+                for node, got in zip(pair, joint):
+                    assert _same_bits(got, eval_expr(node, pts))
+                    # the plan that writes into operands and the one that
+                    # allocates give the same bits
+                    assert _same_bits(got[: len(few)], eval_expr(node, few))
+
+    def test_shared_subtree_is_computed_once(self, monkeypatch):
+        from ivfkit import expr
+
+        calls = []
+
+        def exp(x, *out):
+            calls.append(len(x))
+            return np.exp(x, *out)
+
+        monkeypatch.setitem(expr._UNARY_CALLS, "exp", exp)
+        expr._compile.cache_clear()
+        try:
+            lo, hi = parse_expr("x1^2 + 3 * exp(x2^2)"), parse_expr("2 * x1^2 + 4 * exp(x2^2)")
+            pts = np.array([[0.5, 1.0], [1.0, 2.0], [0.0, -1.0]])
+            got = eval_expr((lo, hi), pts)
+            assert calls == [3]
+            assert np.array_equal(got[0], pts[:, 0] ** 2 + 3 * np.exp(pts[:, 1] ** 2))
+            assert np.array_equal(got[1], 2 * pts[:, 0] ** 2 + 4 * np.exp(pts[:, 1] ** 2))
+        finally:
+            expr._compile.cache_clear()
+
+    def test_unknown_variable_still_raises(self):
+        pair = (parse_expr("x1 + x2"), parse_expr("x3"))
+        eval_expr(pair[:1], np.ones((2, 2)))
+        with pytest.raises(UnknownIdentifier):
+            eval_expr(pair, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("texts", [("1", "x1"), ("x1", "inf"), ("1", "2"), ("2", "2")])
+    def test_constant_endpoint_is_an_array(self, texts):
+        pts = np.array([[0.5], [1.0], [-2.0]])
+        got = eval_expr(tuple(parse_expr(t) for t in texts), pts)
+        for t, g in zip(texts, got):
+            assert isinstance(g, np.ndarray) and g.shape == (3,)
+            assert np.array_equal(g, ev(t, *pts.tolist()))
+
+    def test_intermediates_do_not_touch_the_points(self):
+        from ivfkit.expr import _INTO_MIN_POINTS
+
+        for n in (2, _INTO_MIN_POINTS + 1):
+            pts = np.random.default_rng(n).normal(size=(n, 2))
+            before = pts.copy()
+            got = eval_expr((parse_expr("-x1"), parse_expr("abs(x2) + sin(x1) * 2")), pts)
+            assert np.array_equal(pts, before)
+            assert np.array_equal(got[1], np.abs(pts[:, 1]) + np.sin(pts[:, 0]) * 2)
+
+    def test_values_reach_eval_expr(self, monkeypatch):
+        from ivfkit import expr
+        from ivfkit.catalog import get_function, ivf_from_expressions
+
+        seen = []
+        original = expr.eval_expr
+
+        def counted(node, points):
+            seen.append((type(node).__name__, len(points)))
+            return original(node, points)
+
+        monkeypatch.setattr(expr, "eval_expr", counted)
+        pts = np.zeros((4, 2))
+        get_function("paper-levelset").ivf.values(pts)
+        ivf_from_expressions("x1", "2 * abs(x1) + x2").values(pts)
+        assert seen == [("tuple", 4), ("tuple", 4)]
+
+    def test_sign_of_zero_survives_the_compile_cache(self):
+        from ivfkit.expr import _compile
+
+        pos = Binary("/", Num(1.0), Num(0.0))
+        neg = Binary("/", Num(1.0), Num(-0.0))
+        assert Num(0.0) != Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+        for order in ((pos, neg), (neg, pos)):
+            _compile.cache_clear()
+            got = [eval_expr(node, [[1.0]])[0] for node in order]
+            assert got == ([math.inf, -math.inf] if order[0] is pos else [-math.inf, math.inf])
+        _compile.cache_clear()
+        # subtree sharing inside one program keeps the two zeros apart too
+        x_pos = Binary("/", Var(1), Num(0.0))
+        x_neg = Binary("/", Var(1), Num(-0.0))
+        assert [v.tolist() for v in eval_expr((x_pos, x_neg), [[1.0]])] == [[math.inf], [-math.inf]]
+
+
 # the tokenizer only emits non-negative literals (unary minus wraps negatives),
 # so parser-reachable trees never hold a negative Num
 EXPR_LEAVES = st.one_of(

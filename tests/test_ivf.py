@@ -35,7 +35,10 @@ from ivfkit.ivf import (
     _grid_distances,
     _grid_points_at,
     _grid_values,
+    _grid_window,
     _halton_directions,
+    _window_to_grid,
+    _window_values,
     sample_level_set,
     unit_ball_points,
     upper_limit,
@@ -215,6 +218,43 @@ class TestBoxAndGrid:
         flat = np.array([0, grid.size - 1, grid.size // 2, 1])
         assert np.array_equal(_grid_points_at(grid, flat), pts[flat])
         assert _grid_points_at(grid, np.arange(0)).shape == (0, len(res))
+
+    @pytest.mark.parametrize("res", [(9,), (7, 5), (4, 5, 3)])
+    def test_points_enumerate_the_axes_lexicographically(self, res):
+        grid = SampleGrid(Box(tuple((-1.0 - d, 2.0 + d) for d in range(len(res)))), res)
+        mesh = np.meshgrid(*grid.axes(), indexing="ij")
+        ref = np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+        pts = grid.points()
+        assert pts.shape == (grid.size, len(res)) and np.array_equal(pts, ref)
+
+    @pytest.mark.parametrize("res", [(9,), (7, 5), (4, 5, 3), (40, 33)])
+    def test_window_holds_every_point_of_the_ball(self, res):
+        # radii taken from the grid's own distances put points exactly on the
+        # ball's boundary; the window must hold each point with r <= radius
+        box = Box(tuple((-1.5 + 0.1 * d, 2.0 - 0.3 * d) for d in range(len(res))))
+        grid = SampleGrid(box, res)
+        pts = grid.points()
+        rng = np.random.default_rng(len(res))
+        for _ in range(50):
+            center = pts[rng.integers(grid.size)] + rng.normal(0.0, 0.2, len(res)) * rng.integers(2)
+            r = _grid_distances(grid, center)
+            radius = float(r[rng.integers(grid.size)]) * rng.choice([1.0, 0.5, 1.5])
+            window = _grid_window(grid, center, radius)
+            inside = np.zeros(res, dtype=bool)
+            inside[window] = True
+            assert inside.ravel()[r <= radius].all()
+            # and no point off the ball's bounding box
+            assert not inside.ravel()[r > math.sqrt(len(res)) * radius + 1e-12].any()
+            # and its entries map back to the grid in enumeration order
+            flat = _window_to_grid(grid, window, np.arange(int(inside.sum())))
+            assert np.array_equal(flat, np.flatnonzero(inside))
+            assert np.array_equal(_window_values(grid, r, window), r[flat])
+            assert np.array_equal(_grid_distances(grid, center, window), r[flat])
+
+    def test_window_of_a_non_finite_radius_is_the_grid(self):
+        grid = SampleGrid(Box(((0.0, 1.0), (-1.0, 1.0))), (5, 6))
+        for radius in (math.inf, math.nan):
+            assert _grid_window(grid, np.zeros(2), radius) == (slice(0, 5), slice(0, 6))
 
     def test_gh_gap_rules(self):
         inf = math.inf
