@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -603,6 +604,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call uses, built on the first one."""
+    return build_parser()
+
+
+# flags without a value; a config file sets them with ``true`` or ``false``
+_SWITCHES = ("gateaux", "timestamp")
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
@@ -617,8 +628,13 @@ def _apply_config(argv: list[str]) -> list[str]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            injected.extend([f"--{key.strip()}", value.strip()])
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _SWITCHES:
+                injected.extend([f"--{key}", value])
+            elif value == "true":
+                injected.append(f"--{key}")
+            elif value != "false":
+                raise _UsageError(f"config {key}={value}: expected true or false")
     # flags from the command line come last, so they win
     return [rest[0], *injected, *rest[1:]] if rest else injected
 
@@ -669,7 +685,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _normalize_argv(_apply_config(argv))
-        config = RunConfig.from_namespace(build_parser().parse_args(argv))
+        config = RunConfig.from_namespace(_shared_parser().parse_args(argv))
     except OSError as exc:
         return _fail(f"cannot read config: {exc}", "UsageError", 2)
     except (_UsageError, ValueError) as exc:

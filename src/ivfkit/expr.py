@@ -5,17 +5,27 @@ Supported nodes: numeric constants (including ``inf``), variables ``x1..xN``,
 ``max``, and ``piecewise(guard, then, else)`` whose guard is a comparison of
 two subexpressions.  The function set is frozen; there are no user plugins.
 
-Evaluation is vectorized over an ``(N, dim)`` array of points.  A tree, or a
-tuple of trees such as the two endpoints of a function, is compiled once into
-straight-line code over numpy ufuncs in which each distinct subtree is one
-step, so a subtree the endpoints share (``exp(x2^2)``) is computed once per
-call.  Constants stay numpy scalars (so ``x1^2`` squares instead of raising
-to an array of exponents), constant subtrees are folded at compile time, an
-intermediate is dropped after its last use, and on 64 points or more a step
-that reads an intermediate for the last time writes into its buffer.  Every
-value has the bits it has when each tree is evaluated on its own.  Both branches of a
-piecewise are evaluated everywhere, so they may produce non-finite
-intermediates that the selected branch discards.
+Evaluation is vectorized over an ``(N, dim)`` array of points, or over an
+open mesh: a tuple of ``dim`` arrays that broadcast against each other, such
+as ``np.ix_(*grid.axes())`` for a tensor-product grid.  On a mesh a variable
+reads its array and every later step broadcasts, so each subtree is computed
+on the product of the axes it depends on (``sin(1/x1)`` on the values of
+``x1`` alone) and only the steps that mix variables run on every point.  A
+value has the shape its variables' arrays broadcast to; a constant value
+fills the whole mesh.
+
+A tree, or a tuple of trees such as the two endpoints of a function, is
+compiled once into straight-line code over numpy ufuncs in which each
+distinct subtree is one step, so a subtree the endpoints share
+(``exp(x2^2)``) is computed once per call.  Constants stay numpy scalars (so
+``x1^2`` squares instead of raising to an array of exponents), constant
+subtrees are folded at compile time, an intermediate is dropped after its
+last use, and on 64 points or more a step that reads an intermediate for the
+last time writes into its buffer (never on a mesh, where operands of one step
+differ in shape).  Every value has the bits it has when each tree is
+evaluated on its own, on points or on a mesh.  Both branches of a piecewise
+are evaluated everywhere, so they may produce non-finite intermediates that
+the selected branch discards.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ __all__ = [
     "eval_expr",
     "max_var_index",
     "compile_field",
+    "ExprField",
 ]
 
 
@@ -292,15 +303,29 @@ def ast_to_text(node: ExprAST) -> str:
 
 
 def eval_expr(
-    node: Union[ExprAST, tuple[ExprAST, ...]], points: np.ndarray
+    node: Union[ExprAST, tuple[ExprAST, ...]], points
 ) -> Union[np.ndarray, tuple[np.ndarray, ...]]:
     """Evaluate on an (N, dim) array of points, returning an (N,) array.
 
+    ``points`` may also be an open mesh, a tuple of ``dim`` arrays that
+    broadcast against each other.  A value then has the shape that the arrays
+    of its variables broadcast to, and a constant the shape of the whole
+    mesh; broadcast to the whole mesh, it holds the bits that evaluating on
+    the mesh's points gives.
+
     ``node`` may also be a tuple of nodes: they are evaluated in one pass that
-    computes each distinct subtree once, and a tuple of (N,) arrays returns.
+    computes each distinct subtree once, and a tuple of arrays returns.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     code = _compile(node)
+    if type(points) is tuple:
+        mesh = tuple(np.asarray(a, dtype=float) for a in points)
+        with np.errstate(all="ignore"):
+            if not isinstance(code, _Program):
+                return _full_mesh(mesh, code)
+            return code(mesh, on_mesh=True)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:
+        pts = np.atleast_2d(pts)
     with np.errstate(all="ignore"):
         if not isinstance(code, _Program):
             return np.full(pts.shape[0], code)
@@ -338,19 +363,28 @@ class _Ref(int):
 _POINTS = _Ref(-1)
 
 
-def _column(index: int) -> Callable:
-    col = index - 1
+def _column(pts: np.ndarray, col: int) -> np.ndarray:
+    if col >= pts.shape[1]:
+        raise UnknownIdentifier(f"x{col + 1} out of range for dimension {pts.shape[1]}")
+    return pts[:, col]
 
-    def var(pts: np.ndarray) -> np.ndarray:
-        if col >= pts.shape[1]:
-            raise UnknownIdentifier(f"x{index} out of range for dimension {pts.shape[1]}")
-        return pts[:, col]
 
-    return var
+def _axis(mesh: tuple, col: int) -> np.ndarray:
+    if col >= len(mesh):
+        raise UnknownIdentifier(f"x{col + 1} out of range for dimension {len(mesh)}")
+    return mesh[col]
 
 
 def _full(pts: np.ndarray, value) -> np.ndarray:
     return np.full(pts.shape[0], value)
+
+
+def _full_mesh(mesh: tuple, value) -> np.ndarray:
+    return np.full(np.broadcast(*mesh).shape, value)
+
+
+# the steps that read the input, in their form for an open mesh
+_ON_MESH = {_column: _axis, _full: _full_mesh}
 
 
 def _fold(op: Callable, *parts):
@@ -391,7 +425,7 @@ def _emit(node: ExprAST, code: list, seen: dict):
     if isinstance(node, Num):
         out = np.float64(node.value)
     elif isinstance(node, Var):
-        code.append((_column(node.index), (_POINTS,), False))
+        code.append((_column, (_POINTS, node.index - 1), False))
         out = _Ref(len(code) - 1)
     else:
         out = None
@@ -423,14 +457,17 @@ def _bind(fn: Callable, args: tuple[int, ...]) -> Callable:
     return lambda s: fn(s[a], s[b], s[c])
 
 
-def _plan(code: list, values: list, into: bool) -> tuple[list, list, tuple[int, ...]]:
+def _plan(
+    code: list, values: list, into: bool, on_mesh: bool = False
+) -> tuple[list, list, tuple[int, ...]]:
     """Slots, steps and root slots of the code, writing into operands or not.
 
-    Slot 0 holds the points, and each constant operand sits in a slot of its
-    own.  A step ``(run, out, dead)`` stores ``run(slots)`` in ``out``, then
-    empties the ``dead`` slots, whose values it read last, so no intermediate
-    outlives its last use.  With ``into``, a step that reads a fresh array for
-    the last time writes its result into that array.
+    Slot 0 holds the points, or the open mesh when ``on_mesh``, and each
+    constant operand sits in a slot of its own.  A step ``(run, out, dead)``
+    stores ``run(slots)`` in ``out``, then empties the ``dead`` slots, whose
+    values it read last, so no intermediate outlives its last use.  With
+    ``into``, a step that reads a fresh array for the last time writes its
+    result into that array.
     """
     last = {}
     for k, (_, parts, _) in enumerate(code):
@@ -443,6 +480,8 @@ def _plan(code: list, values: list, into: bool) -> tuple[list, list, tuple[int, 
     at = {_POINTS: 0}
     steps = []
     for k, (op, parts, _) in enumerate(code):
+        if on_mesh:
+            op = _ON_MESH.get(op, op)
         args = []
         for p in parts:
             if isinstance(p, _Ref):
@@ -472,20 +511,25 @@ def _plan(code: list, values: list, into: bool) -> tuple[list, list, tuple[int, 
 class _Program:
     """Straight-line code computing the values of one or several roots.
 
-    It runs the plan that writes into operands on ``_INTO_MIN_POINTS`` points
-    or more, and the one that allocates every result below that; both give
-    the same bits.  It returns a tuple of arrays when compiled from a tuple
-    of nodes (``many``), else the one array.
+    On points it runs the plan that writes into operands on
+    ``_INTO_MIN_POINTS`` points or more, and the one that allocates every
+    result below that; on an open mesh it runs an allocating plan that reads
+    the mesh.  All three give the same bits.  It returns a tuple of arrays
+    when compiled from a tuple of nodes (``many``), else the one array.
     """
 
     __slots__ = ("plans", "many")
 
     def __init__(self, code: list, values: list, many: bool):
-        self.plans = (_plan(code, values, into=False), _plan(code, values, into=True))
+        self.plans = (
+            _plan(code, values, into=False),
+            _plan(code, values, into=True),
+            _plan(code, values, into=False, on_mesh=True),
+        )
         self.many = many
 
-    def __call__(self, pts: np.ndarray):
-        slots, steps, roots = self.plans[len(pts) >= _INTO_MIN_POINTS]
+    def __call__(self, pts, on_mesh: bool = False):
+        slots, steps, roots = self.plans[2 if on_mesh else len(pts) >= _INTO_MIN_POINTS]
         s = slots.copy()
         s[0] = pts
         for run, out, dead in steps:
@@ -498,9 +542,9 @@ class _Program:
 @lru_cache(maxsize=256)
 def _compile(node):
     """A numpy scalar when ``node`` is constant, else a ``_Program`` from an
-    (N, dim) array to the node's (N,) values.  A tuple of nodes compiles into
-    one program returning a tuple with a value per node, sharing equal
-    subtrees.
+    (N, dim) array, or an open mesh, to the node's values.  A tuple of nodes
+    compiles into one program returning a tuple with a value per node,
+    sharing equal subtrees.
     """
     roots = node if isinstance(node, tuple) else (node,)
     code: list = []
@@ -536,11 +580,21 @@ def max_var_index(node: ExprAST) -> int:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_field(node: Union[ExprAST, tuple[ExprAST, ...]]):
+class ExprField:
+    """An AST as a vectorized scalar field: calling it with an (N, dim) array
+    or an open mesh is ``eval_expr(node, ...)``.  Its type is what tells
+    ``ivf`` that the field can be evaluated on a grid's open mesh."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: Union[ExprAST, tuple[ExprAST, ...]]):
+        self.node = node
+
+    def __call__(self, points):
+        return eval_expr(self.node, points)
+
+
+def compile_field(node: Union[ExprAST, tuple[ExprAST, ...]]) -> ExprField:
     """Wrap an AST as a vectorized scalar field for interval-valued functions;
     a tuple of ASTs gives a field returning one array per AST, in one pass."""
-
-    def fld(pts: np.ndarray):
-        return eval_expr(node, pts)
-
-    return fld
+    return ExprField(node)

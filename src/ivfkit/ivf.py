@@ -27,6 +27,7 @@ from .errors import (
     InvalidEndpoints,
     OutOfDomain,
 )
+from .expr import ExprField
 from .interval import Interval, inf_family, nprec, sup_family
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "unit_ball_points",
     "lower_limit",
     "upper_limit",
-    "scalar_lower_limit",
-    "scalar_upper_limit",
     "preceq_tol",
     "is_gh_lsc_at",
     "is_gh_usc_at",
@@ -120,6 +119,11 @@ class SampleGrid:
     search and the certificate check evaluate a function once per grid.
     Endpoint fields are assumed pure.  The memo lives exactly as long as the
     grid object; it takes no part in equality or hashing.
+
+    The grid is the tensor product of its ``axes()``, so a function defined
+    by expressions is evaluated on the open mesh ``np.ix_(*grid.axes())``
+    without materializing ``points()``: a subtree that depends on one
+    coordinate runs on that axis alone.
     """
 
     box: Box
@@ -258,6 +262,11 @@ class IVF:
     ``f`` and the distance once.  It takes no part in equality or repr, and
     ``dataclasses.replace`` keeps it: pass ``joint=None`` when replacing an
     endpoint field.
+
+    A ``joint`` that is an ``expr.ExprField`` (as ``compile_field`` returns)
+    also evaluates on a grid's open mesh, and grid probes use that route;
+    any other function is evaluated on the grid's points.  Replacing
+    ``joint`` with another callable drops the mesh route with it.
     """
 
     dim: int
@@ -271,24 +280,15 @@ class IVF:
 
     def values(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate both endpoint fields on an (N, dim) array, with checks."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise OutOfDomain(
-                f"{self.label!r}: expected points of dimension {self.dim}, got {pts.shape[1]}"
-            )
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim < 2:
+            pts = np.atleast_2d(pts)
+        _check_dim(self, pts.shape[1])
         with np.errstate(all="ignore"):
             lo, hi = _endpoints(self, pts)
             lo = np.asarray(lo, dtype=float)
             hi = np.asarray(hi, dtype=float)
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            bad = pts[np.isnan(lo) | np.isnan(hi)][0]
-            raise InvalidEndpoints(f"{self.label!r} produced NaN at {bad.tolist()}")
-        order_ok = (lo <= hi) | (np.isinf(lo) & np.isinf(hi) & (lo == hi))
-        if not order_ok.all():
-            bad = pts[~order_ok][0]
-            raise EndpointOrderViolation(
-                f"{self.label!r}: lower > upper at {bad.tolist()}"
-            )
+        _check_endpoints(self, lo, hi, pts.__getitem__)
         return lo, hi
 
     def __call__(self, x) -> Interval:
@@ -297,6 +297,25 @@ class IVF:
             raise OutOfDomain(f"{x.tolist()} outside the domain of {self.label!r}")
         lo, hi = self.values(x[None, :])
         return Interval(float(lo[0]), float(hi[0]))
+
+
+def _check_dim(f: IVF, dim: int) -> None:
+    if dim != f.dim:
+        raise OutOfDomain(f"{f.label!r}: expected points of dimension {f.dim}, got {dim}")
+
+
+def _check_endpoints(
+    f: IVF, lo: np.ndarray, hi: np.ndarray, point_at: Callable[[int], np.ndarray]
+) -> None:
+    """Raise on the first point, in order, where an endpoint is NaN or where
+    ``lo > hi``; ``point_at(i)`` is the ``i``-th point."""
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        bad = point_at(int(np.flatnonzero(np.isnan(lo) | np.isnan(hi))[0]))
+        raise InvalidEndpoints(f"{f.label!r} produced NaN at {bad.tolist()}")
+    order_ok = (lo <= hi) | (np.isinf(lo) & np.isinf(hi) & (lo == hi))
+    if not order_ok.all():
+        bad = point_at(int(np.flatnonzero(~order_ok)[0]))
+        raise EndpointOrderViolation(f"{f.label!r}: lower > upper at {bad.tolist()}")
 
 
 def _endpoints(f: IVF, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,14 +372,6 @@ def _scalar_limit(
         rung = float(vals.min()) if lower else float(vals.max())
         best = max(best, rung) if lower else min(best, rung)
     return best
-
-
-def scalar_lower_limit(fld: ScalarField, dim: int, xbar, params: ProbeParams = ProbeParams()) -> float:
-    return _scalar_limit(fld, dim, np.asarray(xbar, float).reshape(-1), params, lower=True)
-
-
-def scalar_upper_limit(fld: ScalarField, dim: int, xbar, params: ProbeParams = ProbeParams()) -> float:
-    return _scalar_limit(fld, dim, np.asarray(xbar, float).reshape(-1), params, lower=False)
 
 
 def preceq_tol(a: Interval, b: Interval, tol: float) -> bool:
@@ -573,19 +584,56 @@ def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only endpoint values of ``f`` on ``grid`` in enumeration order,
     evaluated on the first request and kept in the grid's memo.
 
+    A function whose ``joint`` is a compiled expression field is evaluated
+    on the grid's open mesh, so each subtree runs on the axes it depends on,
+    and each value is broadcast to the grid into an array of its own; any
+    other function goes through ``IVF.values`` on ``grid.points()``.  Both
+    routes give the same bits and raise the same errors, naming the same
+    first bad point.
+
     The memo is keyed by the identity of ``f`` and holds ``f`` itself, so the
     key cannot be reused while the entry lives, and endpoint fields need not
     be hashable.
     """
     hit = grid._memo.get(id(f))
     if hit is None or hit[0] is not f:
-        # views, so the read-only flag never touches an array a field returned
-        # from its own state; columns of the points are copied out
-        lo, hi = (np.ascontiguousarray(v).view() for v in f.values(grid.points()))
+        if isinstance(f.joint, ExprField):
+            lo, hi = _mesh_values(f, grid)
+        else:
+            # views, so the read-only flag never touches an array a field
+            # returned from its own state; columns of the points are copied out
+            lo, hi = (np.ascontiguousarray(v).view() for v in f.values(grid.points()))
         lo.setflags(write=False)
         hi.setflags(write=False)
         hit = grid._memo[id(f)] = (f, lo, hi)
     return hit[1], hit[2]
+
+
+def _mesh_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``IVF.values`` of an expression-defined ``f`` at every grid point, in
+    enumeration order, computed on the grid's open mesh.
+
+    A value that depends on every axis is already a fresh array of the grid's
+    shape and is raveled in place; any other is broadcast into a new array.
+    ``lo <= hi`` on the unbroadcast values fails wherever a value is NaN or
+    the endpoints are reversed, so the full checks run only then.
+    """
+    _check_dim(f, grid.box.dim)
+    lo_root, hi_root = f.joint(np.ix_(*grid.axes()))
+    lo, hi = (_raveled(v, grid.resolution) for v in (lo_root, hi_root))
+    if not (lo_root <= hi_root).all():
+        _check_endpoints(f, lo, hi, lambda i: _grid_points_at(grid, np.array([i]))[0])
+    return lo, hi
+
+
+def _raveled(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` broadcast to ``shape`` and raveled in C order, in place
+    when they already have that shape."""
+    if values.shape == shape:
+        return values.reshape(-1)
+    out = np.empty(shape)
+    out[...] = values
+    return out.reshape(-1)
 
 
 def _grid_points_at(grid: SampleGrid, flat: np.ndarray) -> np.ndarray:

@@ -123,25 +123,28 @@ class TestEvp:
 
     def test_sweep_evaluates_each_grid_once(self, capsys, monkeypatch):
         # a 2x2 sweep evaluates F once on the search grid and once on the
-        # verify grid; the allowance per cell covers the three refinement
-        # grids of 21^dim points and the single-point evaluations
-        import dataclasses
+        # verify grid, on their open meshes; the allowance per cell covers
+        # the three refinement grids of 21^dim points and the single-point
+        # evaluations
+        import numpy as np
 
-        from ivfkit import cli
-        from ivfkit.catalog import get_function
+        from ivfkit import expr
+        from ivfkit.ivf import SampleGrid
 
-        entry = get_function("paper-levelset")
-        seen = []
+        seen, materialized = [], []
+        evaluate, points = expr.eval_expr, SampleGrid.points
 
-        def counted(pts):
-            seen.append(len(pts))
-            return entry.ivf.joint(pts)
+        def counted(node, pts):
+            # the points of an open mesh are the points of its broadcast
+            seen.append(np.broadcast(*pts).size if type(pts) is tuple else len(pts))
+            return evaluate(node, pts)
 
-        # IVF.values takes the joint route, which evaluates both endpoints
-        counted_entry = dataclasses.replace(
-            entry, ivf=dataclasses.replace(entry.ivf, joint=counted)
-        )
-        monkeypatch.setattr(cli, "get_function", lambda label: counted_entry)
+        def counted_points(grid):
+            materialized.append(grid.resolution)
+            return points(grid)
+
+        monkeypatch.setattr(expr, "eval_expr", counted)
+        monkeypatch.setattr(SampleGrid, "points", counted_points)
         res, verify_res, dim, cells = 61, 121, 2, 4
         code, report = run_json(
             [
@@ -154,6 +157,8 @@ class TestEvp:
         assert code == 0 and report["verdict"] == {"all_ok": True, "cells": cells}
         allowance = cells * (3 * 21**dim + 50)
         assert res**dim + verify_res**dim <= sum(seen) <= res**dim + verify_res**dim + allowance
+        # both big grids are evaluated on their meshes, never materialized
+        assert (res, res) not in materialized and (verify_res, verify_res) not in materialized
 
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(
@@ -208,6 +213,38 @@ def test_malformed_input_exits_with_one_line_of_json(argv, code):
     assert (err["error"] == "UsageError") == (code == 2)
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds the parser on its first call and reuses it: a usage error
+    # in between leaves it as it was, and reports stay byte-identical
+    from ivfkit import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    try:
+        argv = ["evp", "--fn", "quadratic", "--xbar", "0.05", "--eps", "0.01",
+                "--delta", "1", "--box", "-2:2", "--res", "401", "--gateaux"]
+        first = run_cli(argv, capsys)
+        for bad, code in MALFORMED:
+            if code != 2:
+                continue
+            got, out, err = run_cli(bad, capsys)
+            assert got == 2 and out == "", bad
+            assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "UsageError"
+        assert run_cli(argv, capsys) == first and first[0] == 0
+        assert built == [1]
+    finally:
+        cli._shared_parser.cache_clear()
+    # build_parser stays public and gives a parser of its own
+    assert "build_parser" in cli.__all__ and cli.build_parser() is not cli._shared_parser()
+
+
 class TestSeq:
     def test_harmonic(self, capsys):
         code, report = run_json(["seq", "--label", "paper-seq-harmonic"], capsys)
@@ -231,6 +268,27 @@ class TestConfigFile:
         code, report = run_json(["--config", str(cfg), "eval", "--at", "0"], capsys)
         assert code == 0
         assert report["verdict"]["value"] == {"lo": 0.0, "hi": 0.0}
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_switches_from_file(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fn = quadratic\ngateaux = {value}\ntimestamp={value}\n")
+        code, report = run_json(
+            ["--config", str(cfg), "evp", "--xbar", "0.05", "--eps", "0.01",
+             "--delta", "1", "--box", "-2:2", "--res", "401"],
+            capsys,
+        )
+        assert code == 0
+        assert (report["evidence"][0]["gateaux_bound"] is not None) == (value == "true")
+        assert ("timestamp" in report) == (value == "true")
+
+    @pytest.mark.parametrize("line", ["gateaux = yes", "timestamp=1", "gateaux="])
+    def test_switch_needs_true_or_false(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fn = quadratic\n{line}\n")
+        code, out, err = run_cli(["--config", str(cfg), "eval", "--at", "0"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "UsageError"
 
     def test_missing_config(self, capsys):
         code, _, _ = run_cli(["--config", "/nonexistent/x.cfg", "eval", "--at", "0"], capsys)

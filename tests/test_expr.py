@@ -321,6 +321,165 @@ class TestJoint:
         assert [v.tolist() for v in eval_expr((x_pos, x_neg), [[1.0]])] == [[math.inf], [-math.inf]]
 
 
+# grids with 2, an odd and an even number of points per axis, in 1, 2 and 3
+# dimensions; odd axes of symmetric boxes hold 0, where axis guards switch
+MESH_RESOLUTIONS = [(2,), (7,), (8,), (2, 2), (7, 5), (8, 6), (2, 9, 4), (5, 4, 3)]
+
+
+def _mesh_grid(res):
+    from ivfkit.ivf import Box, SampleGrid
+
+    bounds = [(-1.0, 1.0), (-2.0, 2.0), (-0.5, 1.5)]
+    return SampleGrid(Box(tuple(bounds[: len(res)])), res)
+
+
+def _on_mesh(node, grid):
+    """``eval_expr`` on the grid's open mesh, broadcast and raveled in
+    enumeration order, one array per root."""
+    got = eval_expr(node, np.ix_(*grid.axes()))
+    got = got if isinstance(node, tuple) else (got,)
+    return tuple(np.broadcast_to(v, grid.resolution).ravel() for v in got)
+
+
+def _vars(node):
+    if isinstance(node, Var):
+        return {node.index}
+    if isinstance(node, Num):
+        return set()
+    children = {
+        Unary: lambda n: (n.operand,), Binary: lambda n: (n.left, n.right),
+        Compare: lambda n: (n.left, n.right), Call: lambda n: n.args,
+        Piecewise: lambda n: (n.guard, n.then, n.other),
+    }[type(node)](node)
+    return set().union(*(_vars(c) for c in children))
+
+
+def _mesh_shape(node, res):
+    """The shape of a value on an open mesh: the product of the axes it
+    depends on, or the whole mesh for a constant."""
+    used = _vars(node) or set(range(1, len(res) + 1))
+    if len(res) == 1:
+        return res
+    return tuple(r if d + 1 in used else 1 for d, r in enumerate(res))
+
+
+MESH_CASES = [
+    "x1", "x2", "2", "inf", "1/-0", "1/0 + x1 * 0", "piecewise(x1 > 0, 1, -1)",
+    "min(x1, x2, x3)", "max(x2, 1, x1)", "exp(x3^2) + x1", "sin(1/x1) + cos(x2)^2",
+    "piecewise(x1 * x2 != 0, abs(x1 * x2) / (2 * x1^2 + x2^2), 0)", "x1^x2 - x3",
+]
+
+
+class TestMesh:
+    """An open mesh gives the bits of the points it spans, in enumeration order."""
+
+    @pytest.mark.parametrize("label", sorted(CATALOG_FORMULAS))
+    def test_catalog_expressions_match_the_points(self, label):
+        from ivfkit.catalog import get_function
+        from ivfkit.ivf import SampleGrid
+
+        entry = get_function(label)
+        node = entry.ivf.joint.node
+        for res in MESH_RESOLUTIONS:
+            if len(res) != entry.ivf.dim:
+                continue
+            grid = SampleGrid(entry.box, res)
+            pts = grid.points()
+            want = eval_expr(node, pts)
+            for got, ref in zip(_on_mesh(node, grid), want):
+                assert _same_bits(got, ref), (label, res)
+            for endpoint, ref in zip(node, want):
+                assert _same_bits(_on_mesh(endpoint, grid)[0], ref), (label, res)
+
+    @pytest.mark.parametrize("text", MESH_CASES)
+    def test_named_cases_match_the_points(self, text):
+        node = parse_expr(text)
+        for res in MESH_RESOLUTIONS:
+            if max_var_index(node) > len(res):
+                continue
+            grid = _mesh_grid(res)
+            with np.errstate(all="ignore"):
+                (got,) = _on_mesh(node, grid)
+                assert _same_bits(got, eval_expr(node, grid.points())), res
+            # each value lives on the axes it depends on
+            value = eval_expr(node, np.ix_(*grid.axes()))
+            assert value.shape == _mesh_shape(node, res)
+
+    @given(st.deferred(lambda: st.tuples(expr_trees(), expr_trees())))
+    def test_random_pairs_match_the_points(self, pair):
+        for res in ((2, 3, 2), (5, 4, 3)):
+            grid = _mesh_grid(res)
+            with np.errstate(all="ignore"):
+                want = eval_expr(pair, grid.points())
+                values = eval_expr(pair, np.ix_(*grid.axes()))
+                for node, value, got, ref in zip(pair, values, _on_mesh(pair, grid), want):
+                    assert _same_bits(got, ref)
+                    assert value.shape == _mesh_shape(node, res)
+
+    @given(st.deferred(lambda: st.tuples(expr_trees(), expr_trees())))
+    def test_random_functions_take_either_route_alike(self, pair):
+        # the same bits, or the same error with the same message, on both
+        # routes of the grid memo
+        from ivfkit.catalog import ivf_from_expressions
+        from ivfkit.ivf import _grid_values
+
+        f = ivf_from_expressions(*(ast_to_text(node) for node in pair), label="pair", dim=3)
+        grid = _mesh_grid((4, 3, 5))
+        outcomes = []
+        for evaluate in (lambda: _grid_values(f, grid), lambda: f.values(grid.points())):
+            try:
+                outcomes.append(("values", evaluate()))
+            except Exception as exc:  # compared below
+                outcomes.append((type(exc), str(exc)))
+        (kind, mesh), (want_kind, points) = outcomes
+        assert kind == want_kind
+        if kind == "values":
+            assert all(_same_bits(a, b) for a, b in zip(mesh, points))
+        else:
+            assert mesh == points
+
+    def test_subtrees_run_on_their_axes(self, monkeypatch):
+        from ivfkit import expr
+
+        sizes = []
+
+        def exp(x, *out):
+            sizes.append(np.size(x))
+            return np.exp(x, *out)
+
+        monkeypatch.setitem(expr._UNARY_CALLS, "exp", exp)
+        expr._compile.cache_clear()
+        try:
+            grid = _mesh_grid((7, 5))
+            pair = (parse_expr("x1^2 + 3 * exp(x2^2)"), parse_expr("2 * x1^2 + 4 * exp(x2^2)"))
+            got = eval_expr(pair, np.ix_(*grid.axes()))
+            # exp(x2^2) runs once, on the five values of x2
+            assert sizes == [5] and [v.shape for v in got] == [(7, 5), (7, 5)]
+        finally:
+            expr._compile.cache_clear()
+
+    def test_unknown_variable_raises_as_on_points(self):
+        grid = _mesh_grid((3, 4))
+        for text in ("x3", "x1 + x3", "1 + 0 * x3"):
+            errors = []
+            for where in (np.ix_(*grid.axes()), grid.points()):
+                with pytest.raises(UnknownIdentifier) as info:
+                    eval_expr(parse_expr(text), where)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1] == "x3 out of range for dimension 2"
+
+    def test_mesh_arrays_are_never_written(self):
+        grid = _mesh_grid((70, 3))
+        mesh = np.ix_(*grid.axes())
+        before = [a.copy() for a in mesh]
+        eval_expr((parse_expr("-x1"), parse_expr("abs(x2) + sin(x1) * 2")), mesh)
+        assert all(np.array_equal(a, b) for a, b in zip(mesh, before))
+
+    def test_a_mesh_of_lists_is_converted(self):
+        got = eval_expr(parse_expr("x1 * 10 + x2"), ([[1.0], [2.0]], [[3.0, 4.0]]))
+        assert got.tolist() == [[13.0, 14.0], [23.0, 24.0]]
+
+
 # the tokenizer only emits non-negative literals (unary minus wraps negatives),
 # so parser-reachable trees never hold a negative Num
 EXPR_LEAVES = st.one_of(

@@ -9,6 +9,7 @@ from ivfkit.errors import (
     EndpointOrderViolation,
     InvalidEndpoints,
     OutOfDomain,
+    UnknownIdentifier,
 )
 from ivfkit.interval import POS_INF, Interval, gh_dist, inf_family, preceq
 from ivfkit.ivf import (
@@ -264,6 +265,144 @@ class TestBoxAndGrid:
         assert _gh_gap(lo, hi, inf, inf).tolist() == [inf, 0.0, inf, inf, inf]
         assert _gh_gap(lo, hi, 1.0, 2.0).tolist() == [0.0, inf, inf, 2.0, inf]
         assert _gh_gap(np.array([np.nan]), np.array([0.0]), 0.0, 0.0).tolist() == [inf]
+
+
+def _route_of(f, grid, monkeypatch):
+    """'mesh' or 'points': how ``_grid_values`` evaluates ``f`` on ``grid``."""
+    calls = []
+    points = SampleGrid.points
+    monkeypatch.setattr(SampleGrid, "points", lambda g: calls.append(g) or points(g))
+    _grid_values(f, grid)
+    monkeypatch.setattr(SampleGrid, "points", points)
+    return "points" if calls else "mesh"
+
+
+def _outcome(evaluate):
+    try:
+        return "values", evaluate()
+    except Exception as exc:  # compared by the caller
+        return type(exc), str(exc)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _ultimate_base(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestMeshRoute:
+    """Expression-defined functions are evaluated on a grid's open mesh, with
+    the bits and the errors of ``IVF.values`` on the grid's points."""
+
+    @pytest.mark.parametrize("label", [
+        "paper-lsc-sin", "paper-endpoint-rational", "paper-levelset", "paper-argmin",
+        "paper-proper", "quadratic", "constant", "abs-pair", "step-upper", "linear-pair",
+        "plateau",
+    ])
+    def test_catalog_entries_match_the_points_route(self, label, monkeypatch):
+        from ivfkit.catalog import get_function
+
+        entry = get_function(label)
+        for n in (2, 7, 8, 251):
+            grid = SampleGrid(entry.box, (n,) * entry.ivf.dim)
+            assert _route_of(entry.ivf, grid, monkeypatch) == "mesh"
+            got = _grid_values(entry.ivf, grid)
+            want = entry.ivf.values(grid.points())
+            assert all(_same_bits(a, b) for a, b in zip(got, want)), (label, n)
+
+    @pytest.mark.parametrize("texts", [
+        ("x1", "exp(x1) + x2^2 + x3"), ("min(x1, x2, x3)", "max(x1, x2, x3)"),
+        ("1/-0 + 0 * x2", "inf + x1"), ("2", "inf"), ("piecewise(x3 > 0, x1, -x2^2)", "3"),
+        ("x2 * x3", "x2 * x3"),
+    ])
+    @pytest.mark.parametrize("res", [(2, 2, 2), (3, 4, 5), (6, 5, 2)])
+    def test_three_dimensional_expressions_match(self, texts, res):
+        from ivfkit.catalog import ivf_from_expressions
+
+        f = ivf_from_expressions(*texts, label="solid", dim=3)
+        grid = SampleGrid(Box(((-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5))), res)
+        got = _grid_values(f, grid)
+        assert all(_same_bits(a, b) for a, b in zip(got, f.values(grid.points())))
+
+    @pytest.mark.parametrize("texts, dim, res, error", [
+        # dimension mismatch
+        (("x1", "x1 + 1"), 2, (3, 4, 2), OutOfDomain),
+        # x3 on a 2-D grid
+        (("x3", "x3 + 1"), 2, (3, 4), UnknownIdentifier),
+        # NaN: the first bad point in enumeration order is (-1, 0)
+        (("x1*0+1", "x2/x2"), 2, (11, 11), InvalidEndpoints),
+        (("0 * sin(1/x2) + x1", "x1 + 1"), 2, (5, 5), InvalidEndpoints),
+        # NaN is named before a reversed pair
+        (("x1", "piecewise(x1 > 0, 0/0, x1 - 1)"), 1, (5,), InvalidEndpoints),
+        # lower > upper, first where x2 > x1
+        (("x2", "x1"), 2, (4, 5), EndpointOrderViolation),
+        (("1", "x1 * x2"), 2, (6, 6), EndpointOrderViolation),
+    ])
+    def test_errors_match_the_points_route(self, texts, dim, res, error):
+        from ivfkit.catalog import ivf_from_expressions
+
+        f = ivf_from_expressions(*texts, label="cli-expr", dim=dim)
+        bounds = ((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0))[: len(res)]
+        mesh = _outcome(lambda: _grid_values(f, SampleGrid(Box(bounds), res)))
+        points = _outcome(lambda: f.values(SampleGrid(Box(bounds), res).points()))
+        assert mesh == points and mesh[0] is error
+        if texts == ("x1*0+1", "x2/x2"):
+            assert mesh[1] == "'cli-expr' produced NaN at [-1.0, 0.0]"
+
+    @pytest.mark.parametrize("texts", [
+        ("x1", "exp(x1) + x2^2"), ("x1^2 + x2", "2 * x1^2 + x2"), ("1", "2"),
+        ("x1^2", "x1^2"), ("x2", "x2 + 1"),
+    ])
+    def test_memo_arrays_are_read_only_and_own_their_data(self, texts):
+        from ivfkit.catalog import ivf_from_expressions
+
+        f = ivf_from_expressions(*texts, dim=2)
+        grid = SampleGrid(Box(((-1.0, 1.0), (0.0, 2.0))), (5, 7))
+        for v in _grid_values(f, grid):
+            assert v.shape == (grid.size,) and v.flags.c_contiguous
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+            # a buffer of exactly its own size: no broadcast, no window
+            # into a larger array
+            assert _ultimate_base(v).nbytes == v.nbytes
+        # one-dimensional: a value that is the axis itself
+        g = ivf_from_expressions("x1", "x1 + 1")
+        line = SampleGrid(Box(((0.0, 1.0),)), (9,))
+        lo, _ = _grid_values(g, line)
+        assert not lo.flags.writeable and _ultimate_base(lo).nbytes == lo.nbytes
+
+    def test_other_functions_take_the_points_route(self, monkeypatch):
+        import dataclasses
+
+        from ivfkit.catalog import get_function, ivf_from_expressions
+        from ivfkit.ekeland import perturbed
+
+        grid = SampleGrid(Box(((-1.0, 1.0), (0.0, 2.0))), (5, 7))
+        f = ivf_from_expressions("x1^2", "x1^2 + x2", label="bowl")
+        assert _route_of(f, grid, monkeypatch) == "mesh"
+        # replace keeps the compiled joint, and with it the mesh route
+        assert _route_of(dataclasses.replace(f, label="renamed"), grid, monkeypatch) == "mesh"
+        others = [
+            dataclasses.replace(f, joint=lambda P: f.joint(P)),
+            dataclasses.replace(f, joint=None),
+            add_ivf(f, f),
+            perturbed(f, 0.5, (0.0, 0.0)),
+            indicator(lambda P: P[:, 0] > 0, 2),
+            IVF(2, lambda P: P[:, 0], lambda P: P[:, 0] + P[:, 1], "plane"),
+        ]
+        for g in others:
+            assert _route_of(g, grid, monkeypatch) == "points", g.label
+        # the routes agree where both apply
+        rerouted = dataclasses.replace(f, joint=lambda P: f.joint(P))
+        assert all(_same_bits(a, b) for a, b in zip(_grid_values(rerouted, grid), _grid_values(f, grid)))
+        # a 2-D entry from the catalog on the grids of an evp sweep
+        entry = get_function("paper-levelset")
+        assert _route_of(entry.ivf, SampleGrid(entry.box, (251, 251)), monkeypatch) == "mesh"
 
 
 class TestEvaluation:
