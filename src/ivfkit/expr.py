@@ -19,13 +19,12 @@ compiled once into straight-line code over numpy ufuncs in which each
 distinct subtree is one step, so a subtree the endpoints share
 (``exp(x2^2)``) is computed once per call.  Constants stay numpy scalars (so
 ``x1^2`` squares instead of raising to an array of exponents), constant
-subtrees are folded at compile time, an intermediate is dropped after its
-last use, and on 64 points or more a step that reads an intermediate for the
-last time writes into its buffer (never on a mesh, where operands of one step
-differ in shape).  Every value has the bits it has when each tree is
-evaluated on its own, on points or on a mesh.  Both branches of a piecewise
-are evaluated everywhere, so they may produce non-finite intermediates that
-the selected branch discards.
+subtrees are folded at compile time, every step allocates its result, and an
+intermediate is dropped after its last use.  The same code runs on points and
+on a mesh; only the two steps that read the input tell them apart.  Every
+value has the bits it has when each tree is evaluated on its own, on points
+or on a mesh.  Both branches of a piecewise are evaluated everywhere, so they
+may produce non-finite intermediates that the selected branch discards.
 """
 
 from __future__ import annotations
@@ -318,18 +317,15 @@ def eval_expr(
     """
     code = _compile(node)
     if type(points) is tuple:
-        mesh = tuple(np.asarray(a, dtype=float) for a in points)
-        with np.errstate(all="ignore"):
-            if not isinstance(code, _Program):
-                return _full_mesh(mesh, code)
-            return code(mesh, on_mesh=True)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2:
-        pts = np.atleast_2d(pts)
+        points = tuple(np.asarray(a, dtype=float) for a in points)
+    else:
+        points = np.asarray(points, dtype=float)
+        if points.ndim < 2:
+            points = np.atleast_2d(points)
     with np.errstate(all="ignore"):
         if not isinstance(code, _Program):
-            return np.full(pts.shape[0], code)
-        return code(pts)
+            return _full(points, code)
+        return code(points)
 
 
 _BINARY = {
@@ -343,17 +339,6 @@ _COMPARE = {
     ">": operator.gt, ">=": operator.ge,
 }
 _UNARY_CALLS = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}
-# The same operations as ufuncs that take their output buffer last, to write
-# into an operand read for the last time.  "^" does that only through its
-# base, with ``**=``, which keeps the scalar-exponent path of ``**``.
-_INTO = {
-    operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
-    operator.truediv: np.true_divide, operator.neg: np.negative,
-    np.abs: np.abs, np.sin: np.sin, np.cos: np.cos, np.exp: np.exp,
-    # these two take ``out`` by keyword only
-    np.minimum: lambda a, b, out: np.minimum(a, b, out=out),
-    np.maximum: lambda a, b, out: np.maximum(a, b, out=out),
-}
 
 
 class _Ref(int):
@@ -363,28 +348,18 @@ class _Ref(int):
 _POINTS = _Ref(-1)
 
 
-def _column(pts: np.ndarray, col: int) -> np.ndarray:
-    if col >= pts.shape[1]:
-        raise UnknownIdentifier(f"x{col + 1} out of range for dimension {pts.shape[1]}")
-    return pts[:, col]
+# The two steps that read the input, an (N, dim) array or an open mesh.
+def _column(points, col: int) -> np.ndarray:
+    mesh = type(points) is tuple
+    dim = len(points) if mesh else points.shape[1]
+    if col >= dim:
+        raise UnknownIdentifier(f"x{col + 1} out of range for dimension {dim}")
+    return points[col] if mesh else points[:, col]
 
 
-def _axis(mesh: tuple, col: int) -> np.ndarray:
-    if col >= len(mesh):
-        raise UnknownIdentifier(f"x{col + 1} out of range for dimension {len(mesh)}")
-    return mesh[col]
-
-
-def _full(pts: np.ndarray, value) -> np.ndarray:
-    return np.full(pts.shape[0], value)
-
-
-def _full_mesh(mesh: tuple, value) -> np.ndarray:
-    return np.full(np.broadcast(*mesh).shape, value)
-
-
-# the steps that read the input, in their form for an open mesh
-_ON_MESH = {_column: _axis, _full: _full_mesh}
+def _full(points, value) -> np.ndarray:
+    shape = np.broadcast(*points).shape if type(points) is tuple else points.shape[0]
+    return np.full(shape, value)
 
 
 def _fold(op: Callable, *parts):
@@ -416,33 +391,26 @@ def _ops(node: ExprAST) -> list[tuple[Callable, tuple]]:
 def _emit(node: ExprAST, code: list, seen: dict):
     """The value of ``node``: a numpy scalar when it is constant, else the
     ``_Ref`` of the step computing it, appended to ``code`` as
-    ``(op, parts, fresh)`` unless ``seen`` already holds an equal subtree.
-    ``fresh`` marks a float array of the step's own, never a view of the
-    points."""
+    ``(op, parts)`` unless ``seen`` already holds an equal subtree."""
     hit = seen.get(node)
     if hit is not None:
         return hit
     if isinstance(node, Num):
         out = np.float64(node.value)
     elif isinstance(node, Var):
-        code.append((_column, (_POINTS, node.index - 1), False))
+        code.append((_column, (_POINTS, node.index - 1)))
         out = _Ref(len(code) - 1)
     else:
         out = None
         for op, children in _ops(node):
             parts = ([] if out is None else [out]) + [_emit(c, code, seen) for c in children]
             if any(isinstance(p, _Ref) for p in parts):
-                code.append((op, tuple(parts), not isinstance(node, Compare)))
+                code.append((op, tuple(parts)))
                 out = _Ref(len(code) - 1)
             else:
                 out = _fold(op, *parts)
     seen[node] = out
     return out
-
-
-# Writing into an operand pays off from a few dozen points on; on a single
-# point it costs more per ufunc call than allocating the result does.
-_INTO_MIN_POINTS = 64
 
 
 def _bind(fn: Callable, args: tuple[int, ...]) -> Callable:
@@ -457,20 +425,16 @@ def _bind(fn: Callable, args: tuple[int, ...]) -> Callable:
     return lambda s: fn(s[a], s[b], s[c])
 
 
-def _plan(
-    code: list, values: list, into: bool, on_mesh: bool = False
-) -> tuple[list, list, tuple[int, ...]]:
-    """Slots, steps and root slots of the code, writing into operands or not.
+def _plan(code: list, values: list) -> tuple[list, list, tuple[int, ...]]:
+    """Slots, steps and root slots of the code.
 
-    Slot 0 holds the points, or the open mesh when ``on_mesh``, and each
-    constant operand sits in a slot of its own.  A step ``(run, out, dead)``
-    stores ``run(slots)`` in ``out``, then empties the ``dead`` slots, whose
-    values it read last, so no intermediate outlives its last use.  With
-    ``into``, a step that reads a fresh array for the last time writes its
-    result into that array.
+    Slot 0 holds the points or the open mesh, and each constant operand sits
+    in a slot of its own.  A step ``(run, out, dead)`` stores ``run(slots)``
+    in a new slot ``out``, then empties the ``dead`` slots, whose values it
+    read last, so no intermediate outlives its last use.
     """
     last = {}
-    for k, (_, parts, _) in enumerate(code):
+    for k, (_, parts) in enumerate(code):
         for p in parts:
             if isinstance(p, _Ref):
                 last[p] = k
@@ -479,9 +443,7 @@ def _plan(
     slots: list = [None]
     at = {_POINTS: 0}
     steps = []
-    for k, (op, parts, _) in enumerate(code):
-        if on_mesh:
-            op = _ON_MESH.get(op, op)
+    for k, (op, parts) in enumerate(code):
         args = []
         for p in parts:
             if isinstance(p, _Ref):
@@ -489,54 +451,33 @@ def _plan(
             else:
                 args.append(len(slots))
                 slots.append(p)
-        target = [
-            j for j, p in enumerate(parts)
-            if into and isinstance(p, _Ref) and p >= 0 and code[p][2] and last[p] == k
-            and (op in _INTO or (op is operator.pow and j == 0))
-        ]
-        if target and op is operator.pow:
-            fn, out = operator.ipow, args[0]
-        elif target:
-            fn, out = _INTO[op], args[target[0]]
-            args.append(out)
-        else:
-            fn, out = op, len(slots)
-            slots.append(None)
-        at[_Ref(k)] = out
+        at[_Ref(k)] = out = len(slots)
+        slots.append(None)
         dead = {at[p] for p in parts if isinstance(p, _Ref) and p >= 0 and last[p] == k}
-        steps.append((_bind(fn, tuple(args)), out, tuple(sorted(dead - {out}))))
+        steps.append((_bind(op, tuple(args)), out, tuple(sorted(dead))))
     return slots, steps, tuple(at[v] for v in values)
 
 
 class _Program:
-    """Straight-line code computing the values of one or several roots.
-
-    On points it runs the plan that writes into operands on
-    ``_INTO_MIN_POINTS`` points or more, and the one that allocates every
-    result below that; on an open mesh it runs an allocating plan that reads
-    the mesh.  All three give the same bits.  It returns a tuple of arrays
-    when compiled from a tuple of nodes (``many``), else the one array.
+    """Straight-line code computing the values of one or several roots from
+    an (N, dim) array or an open mesh.  It returns a tuple of arrays when
+    compiled from a tuple of nodes (``many``), else the one array.
     """
 
-    __slots__ = ("plans", "many")
+    __slots__ = ("slots", "steps", "roots", "many")
 
     def __init__(self, code: list, values: list, many: bool):
-        self.plans = (
-            _plan(code, values, into=False),
-            _plan(code, values, into=True),
-            _plan(code, values, into=False, on_mesh=True),
-        )
+        self.slots, self.steps, self.roots = _plan(code, values)
         self.many = many
 
-    def __call__(self, pts, on_mesh: bool = False):
-        slots, steps, roots = self.plans[2 if on_mesh else len(pts) >= _INTO_MIN_POINTS]
-        s = slots.copy()
-        s[0] = pts
-        for run, out, dead in steps:
+    def __call__(self, points):
+        s = self.slots.copy()
+        s[0] = points
+        for run, out, dead in self.steps:
             s[out] = run(s)
             for i in dead:
                 s[i] = None
-        return tuple([s[i] for i in roots]) if self.many else s[roots[0]]
+        return tuple([s[i] for i in self.roots]) if self.many else s[self.roots[0]]
 
 
 @lru_cache(maxsize=256)
@@ -554,7 +495,7 @@ def _compile(node):
         return values[0]
     for i, v in enumerate(values):
         if not isinstance(v, _Ref):
-            code.append((_full, (_POINTS, v), True))
+            code.append((_full, (_POINTS, v)))
             values[i] = _Ref(len(code) - 1)
     return _Program(code, values, many=roots is node)
 

@@ -312,7 +312,7 @@ def _check_endpoints(
     if np.isnan(lo).any() or np.isnan(hi).any():
         bad = point_at(int(np.flatnonzero(np.isnan(lo) | np.isnan(hi))[0]))
         raise InvalidEndpoints(f"{f.label!r} produced NaN at {bad.tolist()}")
-    order_ok = (lo <= hi) | (np.isinf(lo) & np.isinf(hi) & (lo == hi))
+    order_ok = lo <= hi
     if not order_ok.all():
         bad = point_at(int(np.flatnonzero(~order_ok)[0]))
         raise EndpointOrderViolation(f"{f.label!r}: lower > upper at {bad.tolist()}")

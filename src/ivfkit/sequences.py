@@ -273,18 +273,34 @@ def _limit_of_tail_stat(
         est_lo = math.inf if upward else -math.inf
     if _escapes(est_hi, half_hi, upward):
         est_hi = math.inf if upward else -math.inf
-    return Interval(min(est_lo, est_hi), max(est_lo, est_hi))
+    # lo <= hi in every term, so each statistic of lo is at most that of hi.
+    # Finite estimates keep that order; only an escape can break it, and then
+    # the escaping endpoint decides: lo escaping up lifts hi with it, hi
+    # escaping down takes lo with it.
+    if upward:
+        return Interval(est_lo, max(est_lo, est_hi))
+    return Interval(min(est_lo, est_hi), est_hi)
 
 
 def liminf_seq(seq: IntervalSequence, horizon: int = DEFAULT_HORIZON) -> Interval:
-    """Limit of the tail-infima sequence; escaping endpoints become -inf."""
+    """Limit of the tail-infima sequence; escaping endpoints become -inf.
+
+    Each endpoint keeps its own estimate. Since ``lo <= hi`` in every term,
+    an upper endpoint that escapes to -inf takes the lower one with it: terms
+    ``[-1e12, -n]`` and ``[-1e7 - n, -n]`` give ``[-inf, -inf]``.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     return _limit_of_tail_stat(seq, horizon, _suffix_min, upward=False)
 
 
 def limsup_seq(seq: IntervalSequence, horizon: int = DEFAULT_HORIZON) -> Interval:
-    """Limit of the tail-suprema sequence; escaping endpoints become +inf."""
+    """Limit of the tail-suprema sequence; escaping endpoints become +inf.
+
+    Each endpoint keeps its own estimate. Since ``lo <= hi`` in every term,
+    a lower endpoint that escapes to +inf lifts the upper one with it: terms
+    ``[n, 1e7 + n]`` and ``[n, 1e12]`` give ``[inf, inf]``.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     return _limit_of_tail_stat(seq, horizon, _suffix_max, upward=True)

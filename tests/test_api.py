@@ -76,3 +76,47 @@ def test_no_unused_imports_in_modules():
         if unused
     }
     assert found == {}
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (functions, classes, assignments) defined in
+    ``sources``, a map from module name to source, that no name, attribute
+    or import alias in any of them reads."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(name, module, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    return sorted(f"{name} ({module}, line {line})" for name, module, line in defined
+                  if name not in read)
+
+
+def test_dead_private_names_guard_sees_a_dead_name():
+    sources = {
+        "a": "_LIMIT = 64\n_used = 1\ndef _helper():\n    return _used\n"
+             "class _Kept: pass\ndef _dead(): pass\n",
+        "b": "from a import _helper\nimport a\nprint(a._Kept, _helper())\n",
+    }
+    assert dead_private_names(sources) == ["_LIMIT (a, line 1)", "_dead (a, line 6)"]
+
+
+def test_no_dead_private_names_in_modules():
+    package = pathlib.Path(ivfkit.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -353,6 +353,39 @@ class TestMeshRoute:
         if texts == ("x1*0+1", "x2/x2"):
             assert mesh[1] == "'cli-expr' produced NaN at [-1.0, 0.0]"
 
+    @pytest.mark.parametrize("lower, upper, lo_field, hi_field, error", [
+        ("inf", "inf", lambda x: np.inf + 0 * x, lambda x: np.inf + 0 * x, None),
+        ("-inf", "-inf", lambda x: -np.inf + 0 * x, lambda x: -np.inf + 0 * x, None),
+        ("-inf", "x1", lambda x: -np.inf + 0 * x, lambda x: x, None),
+        ("x1", "inf", lambda x: x, lambda x: np.inf + 0 * x, None),
+        ("inf", "-inf", lambda x: np.inf + 0 * x, lambda x: -np.inf + 0 * x,
+         (EndpointOrderViolation, "'pair': lower > upper at [-1.0]")),
+        # reversed from x1 = -1 on, NaN from x1 = 0.5 on: NaN is named first
+        ("piecewise(x1 > 0, 0/0, x1)", "x1 - 1", lambda x: np.where(x > 0, np.nan, x),
+         lambda x: x - 1, (InvalidEndpoints, "'pair' produced NaN at [0.5]")),
+    ])
+    def test_infinite_and_reversed_endpoints(self, lower, upper, lo_field, hi_field, error):
+        # an expression pair and a lambda pair, on both routes of the grid
+        # memo and through IVF.values
+        from ivfkit.catalog import ivf_from_expressions
+
+        box = Box(((-1.0, 1.0),))
+        x = SampleGrid(box, (5,)).points()[:, 0]
+        pairs = [
+            ivf_from_expressions(lower, upper, label="pair", dim=1),
+            IVF(1, lambda P: lo_field(P[:, 0]), lambda P: hi_field(P[:, 0]), "pair"),
+        ]
+        for f in pairs:
+            for evaluate in (lambda: _grid_values(f, SampleGrid(box, (5,))),
+                             lambda: f.values(SampleGrid(box, (5,)).points())):
+                kind, got = _outcome(evaluate)
+                if error is None:
+                    assert kind == "values"
+                    assert np.array_equal(got[0], lo_field(x))
+                    assert np.array_equal(got[1], hi_field(x))
+                else:
+                    assert (kind, got) == error
+
     @pytest.mark.parametrize("texts", [
         ("x1", "exp(x1) + x2^2"), ("x1^2 + x2", "2 * x1^2 + x2"), ("1", "2"),
         ("x1^2", "x1^2"), ("x2", "x2 + 1"),

@@ -135,6 +135,22 @@ class TestLimInfSup:
         assert liminf_seq(constant, horizon=200) == Interval(2, 3)
         assert limsup_seq(constant, horizon=200) == Interval(2, 3)
 
+    def test_endpoint_estimates_are_not_swapped(self):
+        # lo <= hi in every term: lo escaping up lifts hi with it, hi escaping
+        # down takes lo with it, and the other escapes leave the other endpoint
+        # its own estimate
+        inf = math.inf
+        cases = [
+            (limsup_seq, lambda n: Interval(float(n), 1e7 + n), Interval(inf, inf)),
+            (limsup_seq, lambda n: Interval(float(n), 1e12), Interval(inf, inf)),
+            (limsup_seq, lambda n: Interval(-1e12, float(n)), Interval(-1e12, inf)),
+            (liminf_seq, lambda n: Interval(-1e7 - n, -float(n)), Interval(-inf, -inf)),
+            (liminf_seq, lambda n: Interval(-1e12, -float(n)), Interval(-inf, -inf)),
+            (liminf_seq, lambda n: Interval(-float(n), 1e12), Interval(-inf, 1e12)),
+        ]
+        for stat, term, expected in cases:
+            assert stat(IntervalSequence(term, "s"), horizon=10_000) == expected
+
     def test_tail_infima_monotone(self):
         tails = tail_infima(alternating, horizon=400)
         assert all(preceq(a, b) for a, b in zip(tails, tails[1:]))
