@@ -16,6 +16,13 @@ inequality that bounds ``|x0 - xbar|`` by ``eps/delta`` in the theorem.
 Stage 1 uses it with ``F(xbar)`` in place of ``F(x0)``.  ``_cone_radius``
 gives the radius, ``ivf._grid_window`` the index window, and an infinite
 endpoint makes the window the whole grid.
+
+Every grid a search touches -- the search grid, each local grid of the
+refinement and the grid of ``verify_certificate`` -- is evaluated once,
+through its memo, which also keeps the minima of ``F`` over it.  The cone
+``F + delta*|x - xbar|`` adds the same scalar to both endpoints, so stage 1
+and the refinement take its values from those of ``F`` plus
+``delta * _grid_distances``; ``perturbed`` is not evaluated on a grid.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import DEFAULT_LAMBDA_LADDER, gateaux_derivative
-from .errors import EmptyArgmin, HypothesisViolated, ImproperFunction
+from .errors import EmptyArgmin, HypothesisViolated, ImproperFunction, OutOfDomain
 from .interval import (
     Interval,
     add_scalar,
@@ -45,6 +52,7 @@ from .ivf import (
     _grid_points_at,
     _grid_values,
     _grid_window,
+    _near_minimum,
     _window_to_grid,
     _window_values,
 )
@@ -189,14 +197,13 @@ def _cone_radius(value: Interval, floor: Interval, tol: float, delta: float) -> 
 
 
 def _strict_minimality_scan(
-    f: IVF, x0: np.ndarray, delta: float, grid: SampleGrid, tie_tol: float
+    f: IVF, x0: np.ndarray, v0: Interval, delta: float, grid: SampleGrid, tie_tol: float
 ) -> tuple[int, list[tuple[float, ...]], list[tuple[float, ...]]]:
-    """Check ``F(x0)`` strictly dominates ``F(x) + delta*|x-x0|`` off ``x0``.
+    """Check ``v0 = F(x0)`` strictly dominates ``F(x) + delta*|x-x0|`` off ``x0``.
 
     Only the window of the ball of ``_cone_radius`` around ``x0`` is scanned;
     every point outside it is off ``x0`` and strictly dominated, with no tie.
     """
-    v0 = f(x0)
     window = _grid_window(grid, x0, _cone_radius(v0, infimum_over(f, grid), tie_tol, delta))
     lo, hi = (_window_values(grid, v, window) for v in _grid_values(f, grid))
     r = _grid_distances(grid, x0, window)
@@ -219,23 +226,23 @@ def _strict_minimality_scan(
 
 def _pick_witness(
     candidates: np.ndarray, lo: np.ndarray, hi: np.ndarray, xbar: np.ndarray, tol: float
-) -> np.ndarray:
-    """Minimize f (values ``lo``, ``hi``) over the candidate set, breaking ties
-    by |x-xbar| then lexicographically."""
+) -> int:
+    """Index of the candidate minimizing f (values ``lo``, ``hi``) over the
+    candidate set, breaking ties by |x-xbar| then lexicographically."""
     dist = _gh_gap(lo, hi, float(lo.min()), float(hi.min()))
-    winners = candidates[dist <= tol]
+    winners = np.flatnonzero(dist <= tol)
     if len(winners) == 0:
-        winners = candidates[dist == dist.min()]
-    order = np.argsort(np.linalg.norm(winners - xbar[None, :], axis=1), kind="stable")
+        winners = np.flatnonzero(dist == dist.min())
+    order = np.argsort(np.linalg.norm(candidates[winners] - xbar[None, :], axis=1), kind="stable")
     winners = winners[order]
     best = winners[0]
-    best_d = float(np.linalg.norm(best - xbar))
+    best_d = float(np.linalg.norm(candidates[best] - xbar))
     for w in winners[1:]:
-        if float(np.linalg.norm(w - xbar)) > best_d:
+        if float(np.linalg.norm(candidates[w] - xbar)) > best_d:
             break
-        if tuple(w.tolist()) < tuple(best.tolist()):
+        if tuple(candidates[w].tolist()) < tuple(candidates[best].tolist()):
             best = w
-    return best
+    return int(best)
 
 
 def _stage1_near_set(
@@ -273,6 +280,54 @@ def _stage1_near_set(
     return points, pool_lo[near], pool_hi[near]
 
 
+def _refine(inp: EkelandInput, x0: np.ndarray, value_x0: Interval) -> np.ndarray:
+    """Up to three rounds of ten-times-finer local grids around the stage-1
+    witness ``x0``, whose value of ``F`` is ``value_x0``.
+
+    A round picks the witness of the cone ``F + delta*|x - xbar|`` over its
+    local grid and moves ``x0`` there when the cone strictly dominates into
+    its value at ``x0``, which is carried from round to round.  A candidate,
+    or the stage-1 witness, outside the domain of ``F`` raises
+    ``OutOfDomain``.
+    """
+    f, delta, tol = inp.f, inp.delta, inp.tol
+    xbar = np.asarray(inp.xbar, dtype=float)
+    cone_label = f"{f.label}+{delta:g}*dist"  # as perturbed(f, delta, xbar) names the cone
+
+    def check_domain(x: np.ndarray) -> None:
+        if f.domain is not None and not f.domain.contains(x):
+            raise OutOfDomain(f"{x.tolist()} outside the domain of {cone_label!r}")
+
+    # the distance row-wise, as perturbed's cone and _grid_distances compute it
+    cone_x0 = add_scalar(value_x0, delta * float(np.linalg.norm((x0 - xbar)[None, :], axis=1)[0]))
+    spacing = inp.grid.spacing()
+    for _ in range(REFINEMENT_ROUNDS):
+        local = Box(
+            tuple(
+                (float(c - s), float(c + s))
+                for c, s in zip(x0, spacing)
+            )
+        ).intersect(inp.box)
+        local_grid = SampleGrid(local, (REFINEMENT_RESOLUTION,) * f.dim)
+        lo, hi = _grid_values(f, local_grid)
+        shift = delta * _grid_distances(local_grid, xbar)
+        cone_lo, cone_hi = lo + shift, hi + shift
+        near = _near_minimum(
+            cone_lo, cone_hi, Interval(float(cone_lo.min()), float(cone_hi.min())), tol
+        )
+        if len(near):
+            local_c = _grid_points_at(local_grid, near)
+            k = _pick_witness(local_c, lo[near], hi[near], xbar, tol)
+            candidate = local_c[k]
+            check_domain(candidate)
+            check_domain(x0)
+            cone_c = Interval(cone_lo[near[k]], cone_hi[near[k]])
+            if prec(cone_c, cone_x0):
+                x0, cone_x0 = candidate, cone_c
+        spacing = spacing / 10.0
+    return x0
+
+
 def evp_search(inp: EkelandInput) -> EkelandCertificate:
     """Two-stage perturbed-argmin search with local refinement.
 
@@ -293,29 +348,15 @@ def evp_search(inp: EkelandInput) -> EkelandCertificate:
         )
 
     stage1, lo, hi = _stage1_near_set(f, inp.grid, xbar, value_xbar, inf_f, inp.delta, inp.tol)
-    x0 = _pick_witness(stage1, lo, hi, xbar, inp.tol)
-
-    cone = perturbed(f, inp.delta, xbar)
-    spacing = inp.grid.spacing()
-    for _ in range(REFINEMENT_ROUNDS):
-        local = Box(
-            tuple(
-                (float(c - s), float(c + s))
-                for c, s in zip(x0, spacing)
-            )
-        ).intersect(inp.box)
-        local_grid = SampleGrid(local, (REFINEMENT_RESOLUTION,) * f.dim)
-        local_c = argmin_over(cone, local_grid, inp.tol)
-        if len(local_c):
-            candidate = _pick_witness(local_c, *f.values(local_c), xbar, inp.tol)
-            if prec(cone(candidate), cone(x0)):
-                x0 = candidate
-        spacing = spacing / 10.0
+    i = _pick_witness(stage1, lo, hi, xbar, inp.tol)
+    x0 = _refine(inp, stage1[i], Interval(lo[i], hi[i]))
 
     value_x0 = f(x0)
     dist = float(np.linalg.norm(x0 - xbar))
     bound = inp.eps / inp.delta
-    checked, violations, ties = _strict_minimality_scan(f, x0, inp.delta, inp.grid, inp.tol)
+    checked, violations, ties = _strict_minimality_scan(
+        f, x0, value_x0, inp.delta, inp.grid, inp.tol
+    )
     warnings = []
     if ties:
         warnings.append(
@@ -353,8 +394,9 @@ def verify_certificate(
     x0 = np.asarray(cert.x0, dtype=float)
     xbar = np.asarray(cert.xbar, dtype=float)
     dist_ok = float(np.linalg.norm(x0 - xbar)) < cert.eps / delta
-    descent_ok = preceq(f(x0), f(xbar))
-    _, violations, _ = _strict_minimality_scan(f, x0, delta, grid, tol)
+    value_x0 = f(x0)
+    descent_ok = preceq(value_x0, f(xbar))
+    _, violations, _ = _strict_minimality_scan(f, x0, value_x0, delta, grid, tol)
     return dist_ok and descent_ok and not violations
 
 

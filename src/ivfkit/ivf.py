@@ -123,12 +123,15 @@ class SampleGrid:
     The grid is the tensor product of its ``axes()``, so a function defined
     by expressions is evaluated on the open mesh ``np.ix_(*grid.axes())``
     without materializing ``points()``: a subtree that depends on one
-    coordinate runs on that axis alone.
+    coordinate runs on that axis alone.  The axes are built once, with the
+    grid, and kept read-only; like the memo they take no part in equality,
+    hashing or repr.
     """
 
     box: Box
     resolution: tuple[int, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         res = self.resolution
@@ -140,6 +143,9 @@ class SampleGrid:
         if any(r < 2 for r in res):
             raise EmptyGrid("resolution must be >= 2 per dimension")
         object.__setattr__(self, "resolution", res)
+        object.__setattr__(
+            self, "_axes", tuple(_axis(a, b, r) for (a, b), r in zip(self.box.bounds, res))
+        )
 
     @property
     def size(self) -> int:
@@ -148,19 +154,9 @@ class SampleGrid:
             out *= r
         return out
 
-    def axes(self) -> list[np.ndarray]:
-        # lerp form (a*(n-k) + b*k)/n: exact at both ends and, by cancellation,
-        # exactly zero at the midpoint of symmetric boxes -- axis-guard
-        # functions (piecewise on x_i != 0) rely on hitting 0 exactly
-        out = []
-        for (a, b), r in zip(self.box.bounds, self.resolution):
-            n = r - 1
-            k = np.arange(r, dtype=float)
-            ax = (a * (n - k) + b * k) / n
-            ax[0] = a
-            ax[-1] = b
-            out.append(ax)
-        return out
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """The grid's coordinates along each dimension, read-only."""
+        return self._axes
 
     def points(self) -> np.ndarray:
         """Every grid point in enumeration order, shape (size, dim)."""
@@ -183,6 +179,20 @@ class SampleGrid:
         for d, r in enumerate(self.resolution):
             shell |= (idx[d] == 0) | (idx[d] == r - 1)
         return shell.ravel(order="C")
+
+
+def _axis(a: float, b: float, r: int) -> np.ndarray:
+    """``r`` read-only coordinates from ``a`` to ``b`` in the lerp form
+    ``(a*(n-k) + b*k)/n``: exact at both ends and, by cancellation, exactly
+    zero at the midpoint of symmetric boxes -- axis-guard functions
+    (piecewise on x_i != 0) rely on hitting 0 exactly."""
+    n = r - 1
+    k = np.arange(r, dtype=float)
+    ax = (a * (n - k) + b * k) / n
+    ax[0] = a
+    ax[-1] = b
+    ax.setflags(write=False)
+    return ax
 
 
 DEFAULT_DELTA_LADDER = (0.5, 0.1, 0.02, 0.004, 0.0008, 0.00016)
@@ -582,7 +592,15 @@ def indicator(pred: Callable[[np.ndarray], np.ndarray], dim: int, label: str = "
 
 def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only endpoint values of ``f`` on ``grid`` in enumeration order,
-    evaluated on the first request and kept in the grid's memo.
+    evaluated on the first request and kept in the grid's memo."""
+    _, lo, hi, _ = _grid_entry(f, grid)
+    return lo, hi
+
+
+def _grid_entry(f: IVF, grid: SampleGrid) -> tuple[IVF, np.ndarray, np.ndarray, Interval]:
+    """The grid memo's entry for ``f``: ``f`` itself, its read-only endpoint
+    values on ``grid`` in enumeration order, and their componentwise minima,
+    all computed on the first request.
 
     A function whose ``joint`` is a compiled expression field is evaluated
     on the grid's open mesh, so each subtree runs on the axes it depends on,
@@ -593,7 +611,8 @@ def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
 
     The memo is keyed by the identity of ``f`` and holds ``f`` itself, so the
     key cannot be reused while the entry lives, and endpoint fields need not
-    be hashable.
+    be hashable.  Values in the memo passed the endpoint checks: none is NaN
+    and ``lo <= hi`` everywhere.
     """
     hit = grid._memo.get(id(f))
     if hit is None or hit[0] is not f:
@@ -605,8 +624,8 @@ def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
             lo, hi = (np.ascontiguousarray(v).view() for v in f.values(grid.points()))
         lo.setflags(write=False)
         hi.setflags(write=False)
-        hit = grid._memo[id(f)] = (f, lo, hi)
-    return hit[1], hit[2]
+        hit = grid._memo[id(f)] = (f, lo, hi, Interval(float(lo.min()), float(hi.min())))
+    return hit
 
 
 def _mesh_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -707,16 +726,18 @@ def _gh_gap(lo: np.ndarray, hi: np.ndarray, ref_lo: float, ref_hi: float) -> np.
 
 def infimum_over(f: IVF, grid: SampleGrid) -> Interval:
     """Componentwise infimum of the sampled values."""
-    lo, hi = _grid_values(f, grid)
-    return Interval(float(lo.min()), float(hi.min()))
+    return _grid_entry(f, grid)[3]
 
 
 def is_proper_probe(f: IVF, grid: SampleGrid) -> bool:
-    """Somewhere strictly below plus-infinity, nowhere the bottom element."""
-    lo, hi = _grid_values(f, grid)
-    pos_inf_values = (lo == _INF) & (hi == _INF)
-    neg_inf_values = (lo == -_INF) & (hi == -_INF)
-    return bool((~pos_inf_values).any() and not neg_inf_values.any())
+    """Somewhere strictly below plus-infinity, nowhere the bottom element.
+
+    Since ``lo <= hi`` at every point, a value is ``[+inf, +inf]`` exactly
+    where ``lo`` is ``+inf`` and ``[-inf, -inf]`` exactly where ``hi`` is
+    ``-inf``, so the sampled infimum decides both.
+    """
+    inf = infimum_over(f, grid)
+    return inf.lo < _INF and inf.hi > -_INF
 
 
 def argmin_over(f: IVF, grid: SampleGrid, tol: float) -> np.ndarray:
@@ -725,8 +746,13 @@ def argmin_over(f: IVF, grid: SampleGrid, tol: float) -> np.ndarray:
     Infinite endpoints of the infimum must be matched exactly; the finite gap
     is measured in the gH-distance.  Empty when the infimum is plus-infinity.
     """
-    lo, hi = _grid_values(f, grid)
-    m_lo, m_hi = float(lo.min()), float(hi.min())
-    if m_lo == _INF and m_hi == _INF:
-        return _grid_points_at(grid, np.arange(0))
-    return _grid_points_at(grid, np.flatnonzero(_gh_gap(lo, hi, m_lo, m_hi) <= tol))
+    _, lo, hi, inf = _grid_entry(f, grid)
+    return _grid_points_at(grid, _near_minimum(lo, hi, inf, tol))
+
+
+def _near_minimum(lo: np.ndarray, hi: np.ndarray, minimum: Interval, tol: float) -> np.ndarray:
+    """Indices of the pairs ``[lo, hi]`` within ``tol`` of ``minimum``, their
+    componentwise minimum, in the sense of ``argmin_over``."""
+    if minimum.is_pos_inf:
+        return np.arange(0)
+    return np.flatnonzero(_gh_gap(lo, hi, minimum.lo, minimum.hi) <= tol)

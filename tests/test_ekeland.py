@@ -13,9 +13,24 @@ from ivfkit.ekeland import (
     perturbed,
     verify_certificate,
 )
-from ivfkit.errors import EmptyArgmin, HypothesisViolated, ImproperFunction
-from ivfkit.interval import Interval, gh_dist, gh_sub, nprec, preceq, scalar_mul
-from ivfkit.ivf import IVF, Box, SampleGrid, _grid_values, add_ivf, indicator, infimum_over
+from ivfkit.errors import (
+    EmptyArgmin,
+    HypothesisViolated,
+    ImproperFunction,
+    InvalidEndpoints,
+    OutOfDomain,
+)
+from ivfkit.interval import Interval, gh_dist, gh_sub, nprec, prec, preceq, scalar_mul
+from ivfkit.ivf import (
+    IVF,
+    Box,
+    SampleGrid,
+    _grid_values,
+    add_ivf,
+    argmin_over,
+    indicator,
+    infimum_over,
+)
 
 BOX = Box(((-2.0, 2.0),))
 GRID = SampleGrid(BOX, (4001,))
@@ -261,6 +276,40 @@ def full_grid_stage1(f, grid, xbar, value_xbar, delta, tol, pts):
     return np.vstack([pts, xbar[None, :]])[near], pool_lo[near], pool_hi[near]
 
 
+def stage1_witness(inp):
+    """The witness of stage 1 of the search, before refinement."""
+    from ivfkit.ekeland import _pick_witness, _stage1_near_set
+
+    xbar = np.asarray(inp.xbar, dtype=float)
+    near, lo, hi = _stage1_near_set(
+        inp.f, inp.grid, xbar, inp.f(xbar), infimum_over(inp.f, inp.grid), inp.delta, inp.tol
+    )
+    return near[_pick_witness(near, lo, hi, xbar, inp.tol)]
+
+
+def cone_argmin_refinement(inp, x0):
+    """The refinement evaluating the cone ``perturbed(F, delta, xbar)`` as a
+    function of its own: its argmin over each local grid, the witness among
+    those points from values of ``F`` at them, and a move when the cone at the
+    witness strictly dominates into the cone at ``x0``."""
+    from ivfkit.ekeland import REFINEMENT_RESOLUTION, REFINEMENT_ROUNDS, _pick_witness
+
+    f = inp.f
+    xbar = np.asarray(inp.xbar, dtype=float)
+    cone = perturbed(f, inp.delta, xbar)
+    spacing = inp.grid.spacing()
+    for _ in range(REFINEMENT_ROUNDS):
+        local = Box(tuple((float(c - s), float(c + s)) for c, s in zip(x0, spacing)))
+        local_grid = SampleGrid(local.intersect(inp.box), (REFINEMENT_RESOLUTION,) * f.dim)
+        local_c = argmin_over(cone, local_grid, inp.tol)
+        if len(local_c):
+            candidate = local_c[_pick_witness(local_c, *f.values(local_c), xbar, inp.tol)]
+            if prec(cone(candidate), cone(x0)):
+                x0 = candidate
+        spacing = spacing / 10.0
+    return x0
+
+
 def minus_inf_on_part():
     from ivfkit.catalog import ivf_from_expressions
 
@@ -308,7 +357,7 @@ def test_windowed_scan_matches_full_grid_scan(label):
             for delta in WINDOW_DELTAS:
                 for tol in WINDOW_TOLS:
                     assert_same_scan(
-                        _strict_minimality_scan(f, x0, delta, grid, tol),
+                        _strict_minimality_scan(f, x0, f(x0), delta, grid, tol),
                         full_grid_scan(f, x0, delta, grid, tol, pts),
                     )
                     cases += 1
@@ -338,7 +387,8 @@ def test_windowed_stage1_matches_full_grid(label):
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w), (res, xbar, delta, tol)
                     assert np.array_equal(
-                        _pick_witness(*got, xbar, tol), _pick_witness(*want, xbar, tol)
+                        got[0][_pick_witness(*got, xbar, tol)],
+                        want[0][_pick_witness(*want, xbar, tol)],
                     )
 
 
@@ -378,7 +428,7 @@ def test_random_scans_match_full_grid_scan():
         delta = float(10 ** rng.uniform(-3, 2))
         tol = float(10 ** rng.uniform(-12, 0))
         assert_same_scan(
-            _strict_minimality_scan(f, x0, delta, grid, tol), full_grid_scan(f, x0, delta, grid, tol)
+            _strict_minimality_scan(f, x0, f(x0), delta, grid, tol), full_grid_scan(f, x0, delta, grid, tol)
         )
 
 
@@ -409,6 +459,153 @@ def test_ties_on_the_ball_boundary_survive_rounding():
             tol = float(np.nextafter(tol, rng.choice([-math.inf, math.inf])))
         if tol > 0:
             assert_same_scan(
-                _strict_minimality_scan(f, x0, delta, grid, tol),
+                _strict_minimality_scan(f, x0, f(x0), delta, grid, tol),
                 full_grid_scan(f, x0, delta, grid, tol),
             )
+
+
+# -- refinement through the grid memo ------------------------------------------
+
+
+@pytest.mark.parametrize("label", WINDOW_LABELS)
+def test_refinement_matches_the_cone_argmin_reference(label):
+    # the search reads each local grid's values of F from its memo and adds
+    # the distances; the reference evaluates the cone as an IVF of its own
+    f, box = _window_functions()[label]
+    rng = np.random.default_rng(15)
+    compared = 0
+    for res in (21, 41):
+        grid = SampleGrid(box, (res,) * f.dim)
+        pts = grid.points()
+        inf_f = infimum_over(f, grid)
+        lo, hi = _grid_values(f, grid)
+        finite = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi))
+        if not inf_f.is_finite:
+            inp = EkelandInput(
+                f=f, xbar=tuple(pts[finite[0]]), eps=1.0, delta=1.0, box=box, grid=grid
+            )
+            with pytest.raises(HypothesisViolated):
+                evp_search(inp)
+            return
+        for _ in range(10):
+            xbar = pts[int(rng.choice(finite))]
+            if rng.random() < 0.5:
+                xbar = box.clip(xbar + grid.spacing() * rng.uniform(-0.5, 0.5, f.dim))
+            value_xbar = f(xbar)
+            if not value_xbar.is_finite:
+                continue
+            eps = max(value_xbar.lo - inf_f.lo, value_xbar.hi - inf_f.hi, 0.0) + 0.5
+            delta = float(10 ** rng.uniform(-1, 2))
+            tol = float(rng.choice([1e-9, 1e-3]))
+            inp = EkelandInput(
+                f=f, xbar=tuple(xbar), eps=eps, delta=delta, box=box, grid=grid, tol=tol
+            )
+            try:
+                x0 = stage1_witness(inp)
+            except EmptyArgmin:
+                with pytest.raises(EmptyArgmin):
+                    evp_search(inp)
+                continue
+            want = cone_argmin_refinement(inp, x0)
+            got = evp_search(inp).x0
+            assert np.array(got).tobytes() == want.tobytes(), (res, tuple(xbar), delta, tol)
+            compared += 1
+    assert compared >= 6
+
+
+def counted_bowl(calls):
+    """A non-expression 2-D IVF whose fields append the size of each call."""
+
+    def bowl(scale):
+        def field(P):
+            calls.append(len(P))
+            return scale * ((P[:, 0] - 0.3) ** 2 + (P[:, 1] + 0.2) ** 2)
+
+        return field
+
+    return IVF(2, bowl(1.0), bowl(2.0), "counted bowl")
+
+
+def test_sweep_evaluates_each_grid_once_and_few_single_points():
+    from collections import Counter
+
+    from ivfkit.ekeland import REFINEMENT_RESOLUTION, REFINEMENT_ROUNDS
+
+    calls = []
+    f = counted_bowl(calls)
+    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    grid, fine = SampleGrid(box, (31, 31)), SampleGrid(box, (61, 61))
+    local_size = REFINEMENT_RESOLUTION ** 2
+    cells = 0
+    for eps in (0.05, 0.2):
+        for delta in (0.5, 2.0):
+            inp = EkelandInput(f=f, xbar=(0.35, -0.15), eps=eps, delta=delta, box=box, grid=grid)
+            cert = evp_search(inp)
+            assert cert.valid and verify_certificate(f, cert, fine, delta, inp.tol)
+            cells += 1
+    sizes = Counter(calls)
+    # each evaluation calls both fields once
+    assert set(sizes) == {1, grid.size, fine.size, local_size}
+    assert sizes[grid.size] == 2 and sizes[fine.size] == 2
+    assert sizes[local_size] == 2 * cells * REFINEMENT_ROUNDS
+    assert sizes[1] <= 2 * cells * 4
+
+
+def descent(P):
+    return -P[:, 0]
+
+
+def dip_inside(P):
+    # a dip on [0.9, 1] that the search grid misses, and a shelf past 1
+    x = P[:, 0]
+    return np.where((x >= 0.9) & (x <= 1.0), -2.0, np.where(x > 1.0, -1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "field, grid_hi, xbar, delta, tol",
+    [
+        (descent, 1.0, 0.9, 0.5, 1e-9),  # the cone's minimum lies outside the domain
+        (descent, 2.0, 0.9, 0.5, 1e-9),  # so does the stage-1 witness
+        (descent, 1.0, 1.0, 1.5, 0.2),  # a witness outside the domain that is not taken
+        (dip_inside, 2.0, 0.0, 0.1, 1e-9),  # a stage-1 witness outside, a witness inside
+    ],
+)
+def test_refinement_candidate_outside_the_domain_raises(field, grid_hi, xbar, delta, tol):
+    # the local grids reach past the right end of the domain of F
+    f = IVF(1, field, field, "descent", domain=Box(((-1.0, 1.0),)))
+    grid = SampleGrid(Box(((-2.0, grid_hi),)), (11,))
+    inp = EkelandInput(
+        f=f, xbar=(xbar,), eps=1.5, delta=delta, box=Box(((-2.0, 2.0),)), grid=grid, tol=tol
+    )
+    with pytest.raises(OutOfDomain) as want:
+        cone_argmin_refinement(inp, stage1_witness(inp))
+    with pytest.raises(OutOfDomain) as got:
+        evp_search(inp)
+    assert str(got.value) == str(want.value)
+    assert f"outside the domain of 'descent+{delta:g}*dist'" in str(got.value)
+
+
+def nan_gap_functions():
+    """x^2, but NaN on (0.03, 0.05): off the search grid, on a local grid."""
+    from ivfkit.catalog import ivf_from_expressions
+
+    def field(P):
+        x = P[:, 0]
+        return np.where((x > 0.03) & (x < 0.05), np.nan, x * x)
+
+    text = "piecewise(x1 > 0.03, piecewise(x1 < 0.05, inf - inf, x1^2), x1^2)"
+    return [IVF(1, field, field, "nan-gap"), ivf_from_expressions(text, text, label="nan-gap")]
+
+
+@pytest.mark.parametrize("route", ["points", "mesh"])
+def test_nan_on_a_local_grid_names_the_same_point(route):
+    f = nan_gap_functions()[route == "mesh"]
+    grid = SampleGrid(BOX, (11,))
+    inp = EkelandInput(f=f, xbar=(0.0,), eps=0.1, delta=1.0, box=BOX, grid=grid)
+    with pytest.raises(InvalidEndpoints) as want:
+        cone_argmin_refinement(inp, stage1_witness(inp))
+    with pytest.raises(InvalidEndpoints) as got:
+        evp_search(inp)
+    # the reference names the cone 'nan-gap+1*dist'; the search names F itself
+    assert str(want.value).startswith("'nan-gap+1*dist' produced NaN at ")
+    assert str(got.value) == "'nan-gap' produced NaN at " + str(want.value).split(" at ")[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -205,6 +206,26 @@ class TestBoxAndGrid:
         assert np.array_equal(lo, f.values(grid.points())[0])
         assert grid == twin and hash(grid) == hash(twin)
         assert "memo" not in repr(grid)
+
+        # the axes are built once with the grid, read-only, outside equality
+        axes = grid.axes()
+        assert grid.axes() is axes
+        for ax, (a, b), r in zip(axes, box.bounds, grid.resolution):
+            assert not ax.flags.writeable
+            with pytest.raises(ValueError):
+                ax[0] = 0.0
+            # a fresh build in the lerp form, bit for bit
+            k = np.arange(r, dtype=float)
+            fresh = (a * (r - 1 - k) + b * k) / (r - 1)
+            fresh[0], fresh[-1] = a, b
+            assert fresh.tobytes() == ax.tobytes()
+        assert axes[0][2] == 0.0  # the midpoint of a symmetric axis is exactly zero
+        compared = {fd.name for fd in dataclasses.fields(SampleGrid) if fd.compare or fd.hash}
+        assert compared == {"box", "resolution"}
+        assert "_axes" not in repr(grid) and "array" not in repr(grid)
+        twin = dataclasses.replace(grid)
+        assert twin == grid and hash(twin) == hash(grid) and twin.axes() is not axes
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(twin.axes(), axes))
 
     @pytest.mark.parametrize("res", [(9,), (7, 5), (4, 5, 3)])
     def test_grid_lookups_match_the_points_exactly(self, res):
