@@ -499,16 +499,20 @@ def check_function_entry(entry: CatalogEntry, params: ProbeParams) -> list[dict]
         check("liminf", ok, value=interval_to_json(rep.liminf))
     eq = endpoint_lsc_equivalence(f, entry.probe_point, params)
     check("endpoint-equivalence", eq.agrees, **eq.to_json())
+    # the readers of every grid value go first, so the grid is evaluated once
+    # and the properness probe and the infimum read the minima they leave
+    if entry.expect_level_bounded is not None:
+        reports = level_bounded_probe(f, entry.level_alphas, grid)
+    if entry.argmin_predicate is not None:
+        points = argmin_over(f, grid, tol=1e-6)
     check("proper", is_proper_probe(f, grid) == entry.expect_proper)
     if entry.expect_infimum is not None:
         got = infimum_over(f, grid)
         check("infimum", gh_dist(got, entry.expect_infimum) <= 1e-3, value=interval_to_json(got))
     if entry.expect_level_bounded is not None:
-        reports = level_bounded_probe(f, entry.level_alphas, grid)
         ok = all(r.member_count > 0 and r.bounded_evidence == entry.expect_level_bounded for r in reports)
         check("level-bounded", ok, reports=[r.to_json() for r in reports])
     if entry.argmin_predicate is not None:
-        points = argmin_over(f, grid, tol=1e-6)
         ok = len(points) >= 1 and bool(np.all(entry.argmin_predicate(points)))
         check("argmin", ok, count=int(len(points)))
     for xbar, direction, expected in entry.derivative_cases:

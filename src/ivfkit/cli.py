@@ -276,8 +276,9 @@ def _cmd_argmin(args: RunConfig) -> int:
     f = _resolve_function(args)
     grid = SampleGrid(args.box, args.res)
     tol = args.tol if args.tol is not None else 1e-6
-    inf = infimum_over(f, grid)
+    # the argmin reads every grid value; the infimum then comes from the memo
     points = argmin_over(f, grid, tol)
+    inf = infimum_over(f, grid)
     report = _report(
         "argmin",
         {"fn": f.label, "box": list(args.box.bounds), "res": list(grid.resolution), "tol": tol},

@@ -19,10 +19,14 @@ endpoint makes the window the whole grid.
 
 Every grid a search touches -- the search grid, each local grid of the
 refinement and the grid of ``verify_certificate`` -- is evaluated once,
-through its memo, which also keeps the minima of ``F`` over it.  The cone
-``F + delta*|x - xbar|`` adds the same scalar to both endpoints, so stage 1
-and the refinement take its values from those of ``F`` plus
-``delta * _grid_distances``; ``perturbed`` is not evaluated on a grid.
+through its memo.  On the search and verify grids the memo holds the minima
+of ``F`` first, reduced in slabs when ``F`` is defined by expressions, and
+stage 1 and the scan evaluate ``F`` on their window's own sub-mesh; values
+of every point are built only for the 21^dim local grids, for windows of
+more than one slab and for other functions.  The cone ``F + delta*|x -
+xbar|`` adds the same scalar to both endpoints, so stage 1 and the
+refinement take its values from those of ``F`` plus ``delta *
+_grid_distances``; ``perturbed`` is not evaluated on a grid.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from .ivf import (
     _grid_values,
     _grid_window,
     _near_minimum,
+    _window_grid_values,
     _window_to_grid,
-    _window_values,
 )
 
 __all__ = [
@@ -149,9 +153,12 @@ class EkelandCertificate:
 
 def global_min(f: IVF, grid: SampleGrid, tol: float) -> tuple[Interval, np.ndarray]:
     """Sampled infimum and its tolerance argmin; the function must be proper."""
+    # the argmin reads every grid value, so it goes first and the properness
+    # probe and the infimum read the minima it leaves in the grid's memo
+    points = argmin_over(f, grid, tol)
     if not is_proper_probe(f, grid):
         raise ImproperFunction(f"{f.label!r} fails the properness probe on this grid")
-    return infimum_over(f, grid), argmin_over(f, grid, tol)
+    return infimum_over(f, grid), points
 
 
 def perturbed(f: IVF, delta: float, center) -> IVF:
@@ -205,7 +212,7 @@ def _strict_minimality_scan(
     every point outside it is off ``x0`` and strictly dominated, with no tie.
     """
     window = _grid_window(grid, x0, _cone_radius(v0, infimum_over(f, grid), tie_tol, delta))
-    lo, hi = (_window_values(grid, v, window) for v in _grid_values(f, grid))
+    lo, hi = _window_grid_values(f, grid, window)
     r = _grid_distances(grid, x0, window)
     off = r > 0
     plo = lo + delta * r
@@ -261,7 +268,7 @@ def _stage1_near_set(
     point of the near-set.
     """
     window = _grid_window(grid, xbar, _cone_radius(value_xbar, inf_f, tol, delta))
-    glo, ghi = (_window_values(grid, v, window) for v in _grid_values(f, grid))
+    glo, ghi = _window_grid_values(f, grid, window)
     pool_lo = np.append(glo, value_xbar.lo)
     pool_hi = np.append(ghi, value_xbar.hi)
     shift = delta * np.append(_grid_distances(grid, xbar, window), 0.0)

@@ -114,11 +114,16 @@ class SampleGrid:
     The first coordinate varies slowest; reductions over grid values follow
     this fixed order so results are bitwise reproducible.
 
-    A grid keeps the endpoint values of every function evaluated on it, so
-    the infimum, argmin, properness and level-set probes, the variational
-    search and the certificate check evaluate a function once per grid.
-    Endpoint fields are assumed pure.  The memo lives exactly as long as the
-    grid object; it takes no part in equality or hashing.
+    A grid keeps a memo of every function evaluated on it, so the infimum,
+    argmin, properness and level-set probes, the variational search and the
+    certificate check evaluate a function once per grid.  The memo holds the
+    componentwise minima first and the endpoint values on request: on a grid
+    of more than ``_SLAB_POINTS`` points, the minima of a function defined by
+    expressions come from slabs evaluated one at a time, its values are built
+    only for a reader of every point, and a window of at most one slab is
+    evaluated on its own sub-mesh.  Endpoint fields are assumed pure.  The
+    memo lives exactly as long as the grid object; it takes no part in
+    equality or hashing.
 
     The grid is the tensor product of its ``axes()``, so a function defined
     by expressions is evaluated on the open mesh ``np.ix_(*grid.axes())``
@@ -597,10 +602,31 @@ def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+# Grids of more points are reduced in slabs of at most this many points.  A
+# 2x2 evp sweep on 251^2 and 501^2 grids (2-core Xeon, numpy 2.4) takes 1,225
+# first-touch page faults when it builds full-grid value arrays; with slabs
+# of 2^13 or 2^14 points it takes none, with 2^15 about 700 and with 2^16
+# about 1,000.
+_SLAB_POINTS = 2**14
+
+
+def _memo_hit(f: IVF, grid: SampleGrid) -> Optional[tuple]:
+    hit = grid._memo.get(id(f))
+    return hit if hit is not None and hit[0] is f else None
+
+
 def _grid_entry(f: IVF, grid: SampleGrid) -> tuple[IVF, np.ndarray, np.ndarray, Interval]:
-    """The grid memo's entry for ``f``: ``f`` itself, its read-only endpoint
-    values on ``grid`` in enumeration order, and their componentwise minima,
-    all computed on the first request.
+    """The grid memo's entry for ``f`` with its values: ``f`` itself, its
+    read-only endpoint values on ``grid`` in enumeration order, and their
+    componentwise minima, the values computed on the first request.
+
+    The memo holds the minima first and the values on request: for a grid
+    of more than ``_SLAB_POINTS`` points, ``_grid_minimum`` keeps only the
+    minima of an expression-defined function, and its values are evaluated
+    only when a reader of every point (the argmin, a level set, a window of
+    more than one slab) asks for them; the kept minima stay.  Until then a
+    window of at most one slab is evaluated on its own sub-mesh
+    (``_window_grid_values``), and the memo keeps none of its values.
 
     A function whose ``joint`` is a compiled expression field is evaluated
     on the grid's open mesh, so each subtree runs on the axes it depends on,
@@ -614,8 +640,8 @@ def _grid_entry(f: IVF, grid: SampleGrid) -> tuple[IVF, np.ndarray, np.ndarray, 
     be hashable.  Values in the memo passed the endpoint checks: none is NaN
     and ``lo <= hi`` everywhere.
     """
-    hit = grid._memo.get(id(f))
-    if hit is None or hit[0] is not f:
+    hit = _memo_hit(f, grid)
+    if hit is None or hit[1] is None:
         if isinstance(f.joint, ExprField):
             lo, hi = _mesh_values(f, grid)
         else:
@@ -624,8 +650,104 @@ def _grid_entry(f: IVF, grid: SampleGrid) -> tuple[IVF, np.ndarray, np.ndarray, 
             lo, hi = (np.ascontiguousarray(v).view() for v in f.values(grid.points()))
         lo.setflags(write=False)
         hi.setflags(write=False)
-        hit = grid._memo[id(f)] = (f, lo, hi, Interval(float(lo.min()), float(hi.min())))
+        inf = Interval(float(lo.min()), float(hi.min())) if hit is None else hit[3]
+        hit = grid._memo[id(f)] = (f, lo, hi, inf)
     return hit
+
+
+def _grid_minimum(f: IVF, grid: SampleGrid) -> Interval:
+    """Componentwise minima of ``f`` over ``grid``, kept in the grid's memo.
+
+    An expression-defined function on a grid of more than ``_SLAB_POINTS``
+    points is reduced slab by slab (``_slab_minimum``) and the memo keeps
+    the minima alone; any other is evaluated through ``_grid_entry``.
+    """
+    hit = _memo_hit(f, grid)
+    if hit is None:
+        if not (isinstance(f.joint, ExprField) and grid.size > _SLAB_POINTS):
+            return _grid_entry(f, grid)[3]
+        hit = grid._memo[id(f)] = (f, None, None, _slab_minimum(f, grid))
+    return hit[3]
+
+
+def _slab_minimum(f: IVF, grid: SampleGrid) -> Interval:
+    """Componentwise minima of an expression-defined ``f`` over ``grid``,
+    evaluated slab by slab on each slab's open sub-mesh, with the checks and
+    errors of ``_mesh_values``: NaN anywhere is named before a reversed pair
+    anywhere, each at its first point in enumeration order.
+
+    A minimum is exact in any order of reduction but for the sign of a zero,
+    which ``Interval`` drops.
+    """
+    _check_dim(f, grid.box.dim)
+    lo_min = hi_min = _INF
+    reversed_pair = None
+    for window in _slabs(grid.resolution):
+        lo, hi = _sub_mesh_values(f, grid, window)
+        if not (lo <= hi).all():
+            shape = tuple(w.stop - w.start for w in window)
+
+            def point_at(i: int) -> np.ndarray:
+                return _grid_points_at(grid, _window_to_grid(grid, window, np.array([i])))[0]
+
+            try:
+                _check_endpoints(f, _raveled(lo, shape), _raveled(hi, shape), point_at)
+            except EndpointOrderViolation as exc:
+                # a NaN in a later slab is named first
+                reversed_pair = reversed_pair or exc
+        lo_min = min(lo_min, float(lo.min()))
+        hi_min = min(hi_min, float(hi.min()))
+    if reversed_pair is not None:
+        raise reversed_pair
+    return Interval(lo_min, hi_min)
+
+
+def _slabs(resolution: tuple[int, ...]):
+    """Index windows of at most ``_SLAB_POINTS`` points that tile a grid in
+    enumeration order: runs of consecutive indices along one axis, the axes
+    before it held at one index and the axes after it whole."""
+    tail, split = 1, len(resolution)
+    while split > 0 and tail * resolution[split - 1] <= _SLAB_POINTS:
+        split -= 1
+        tail *= resolution[split]
+    if split == 0:
+        yield tuple(slice(0, r) for r in resolution)
+        return
+    split -= 1
+    step = _SLAB_POINTS // tail
+    whole = tuple(slice(0, r) for r in resolution[split + 1:])
+    for lead in np.ndindex(*resolution[:split]):
+        held = tuple(slice(i, i + 1) for i in lead)
+        for start in range(0, resolution[split], step):
+            yield held + (slice(start, min(start + step, resolution[split])),) + whole
+
+
+def _sub_mesh_values(
+    f: IVF, grid: SampleGrid, window: tuple[slice, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoint values of an expression-defined ``f`` on the open mesh
+    of the grid points in ``window``, unbroadcast and unchecked."""
+    return f.joint(np.ix_(*(ax[w] for ax, w in zip(grid.axes(), window))))
+
+
+def _window_grid_values(
+    f: IVF, grid: SampleGrid, window: tuple[slice, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint values of ``f`` at the grid points in ``window``, in
+    enumeration order.
+
+    The whole grid is checked first, through ``_grid_minimum``, so errors
+    name the grid's first bad point.  When the memo holds no values and the
+    window holds at most ``_SLAB_POINTS`` points, an expression-defined
+    ``f`` is evaluated on the window's own sub-mesh, with the bits of the
+    full mesh; otherwise the window is read from the values in the memo.
+    """
+    _grid_minimum(f, grid)
+    shape = tuple(w.stop - w.start for w in window)
+    if _memo_hit(f, grid)[1] is None and math.prod(shape) <= _SLAB_POINTS:
+        return tuple(_raveled(v, shape) for v in _sub_mesh_values(f, grid, window))
+    lo, hi = _grid_values(f, grid)
+    return _window_values(grid, lo, window), _window_values(grid, hi, window)
 
 
 def _mesh_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -726,7 +848,7 @@ def _gh_gap(lo: np.ndarray, hi: np.ndarray, ref_lo: float, ref_hi: float) -> np.
 
 def infimum_over(f: IVF, grid: SampleGrid) -> Interval:
     """Componentwise infimum of the sampled values."""
-    return _grid_entry(f, grid)[3]
+    return _grid_minimum(f, grid)
 
 
 def is_proper_probe(f: IVF, grid: SampleGrid) -> bool:

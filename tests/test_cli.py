@@ -160,6 +160,26 @@ class TestEvp:
         # both big grids are evaluated on their meshes, never materialized
         assert (res, res) not in materialized and (verify_res, verify_res) not in materialized
 
+    def test_sweep_peak_traced_memory(self, tmp_path):
+        # a 2x2 sweep on 251^2 and 501^2 grids reduces both in slabs and
+        # holds no full-grid value array: 0.7 MB traced at its peak, where
+        # the 4 MB of endpoint values of the verify grid alone took 7 MB
+        import tracemalloc
+
+        argv = [
+            "evp", "--fn=paper-lsc-sin", "--xbar=0.0,0.3", "--eps=0.3,0.8",
+            "--delta=1.2,2", "--box=-1.0:1.0,-1.0:1.0", "--res=251,251",
+            "--verify-res=501,501", f"--out={tmp_path / 'evp.json'}",
+        ]
+        assert main(argv) == 0  # compile caches and imports are set up once
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_csv_rows(self, capsys):
         code, out, _ = run_cli(
             [
@@ -172,6 +192,119 @@ class TestEvp:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert "eps" in header and "uniqueness_violations" in header
+
+
+class _MeshCounter:
+    """Counts, for every point of each watched grid, the ``eval_expr`` calls
+    whose open mesh covers it; an (N, dim) array of points is not a mesh."""
+
+    def __init__(self, monkeypatch, grids):
+        import numpy as np
+
+        from ivfkit import expr
+
+        self.grids = grids
+        self.counts = [np.zeros(g.resolution, dtype=int) for g in grids]
+        evaluate = expr.eval_expr
+
+        def counted(node, pts):
+            if type(pts) is tuple:
+                self._add([np.ravel(a) for a in pts])
+            return evaluate(node, pts)
+
+        monkeypatch.setattr(expr, "eval_expr", counted)
+
+    def _add(self, axes):
+        import numpy as np
+
+        for grid, counts in zip(self.grids, self.counts):
+            window = []
+            for ax, a in zip(grid.axes(), axes):
+                start = int(np.searchsorted(ax, a[0])) if len(a) else 0
+                if len(a) == 0 or ax[start:start + len(a)].tobytes() != a.tobytes():
+                    break
+                window.append(slice(start, start + len(a)))
+            else:
+                counts[tuple(window)] += 1
+
+
+class TestGridEvaluations:
+    """No point of a grid of more than one slab is evaluated twice, except
+    inside the windows that stage 1 and the strict-minimality scan read."""
+
+    BOX = "-3:3,-3:3"
+
+    def grid(self, res):
+        from ivfkit.ivf import Box, SampleGrid
+
+        return SampleGrid(Box(((-3.0, 3.0), (-3.0, 3.0))), (res, res))
+
+    @pytest.mark.parametrize("argv", [
+        ["argmin", "--fn=paper-levelset", f"--box={BOX}", "--res=131,131"],
+        ["levelset", "--fn=paper-levelset", "--alpha=[-1,10]", f"--box={BOX}", "--res=131,131"],
+    ])
+    def test_grid_commands_evaluate_each_point_once(self, argv, capsys, monkeypatch):
+        import ivfkit.ivf as ivf
+
+        grid = self.grid(131)
+        assert grid.size > ivf._SLAB_POINTS
+        counter = _MeshCounter(monkeypatch, [grid])
+        code, _ = run_json(argv, capsys)
+        assert code == 0 and (counter.counts[0] == 1).all()
+
+    def test_entry_check_evaluates_each_point_once(self, monkeypatch):
+        import dataclasses
+
+        from ivfkit.catalog import check_function_entry, get_function
+        from ivfkit.ivf import ProbeParams
+
+        entry = dataclasses.replace(get_function("paper-levelset"), min_grid_resolution=(131, 131))
+        counter = _MeshCounter(monkeypatch, [self.grid(131)])
+        records = check_function_entry(entry, ProbeParams())
+        names = [r["check"].split("/")[-1] for r in records]
+        assert {"proper", "infimum", "level-bounded", "argmin"} <= set(names)
+        assert all(r["ok"] for r in records) and (counter.counts[0] == 1).all()
+
+    def test_global_min_evaluates_each_point_once(self, monkeypatch):
+        from ivfkit.catalog import get_function
+        from ivfkit.ekeland import global_min
+
+        grid = self.grid(131)
+        counter = _MeshCounter(monkeypatch, [grid])
+        inf, points = global_min(get_function("paper-levelset").ivf, grid, tol=1e-6)
+        assert len(points) >= 1 and (counter.counts[0] == 1).all()
+
+    def test_sweep_evaluates_points_outside_its_windows_once(self, capsys, monkeypatch):
+        import numpy as np
+
+        from ivfkit import ekeland
+
+        grids = [self.grid(131), self.grid(181)]
+        counter = _MeshCounter(monkeypatch, grids)
+        windows = []
+        grid_window = ekeland._grid_window
+
+        def recorded(grid, center, radius):
+            window = grid_window(grid, center, radius)
+            windows.append((grid.resolution, window))
+            return window
+
+        monkeypatch.setattr(ekeland, "_grid_window", recorded)
+        code, report = run_json(
+            [
+                "evp", "--fn=paper-levelset", "--xbar=0.1,0.1", "--eps=0.3,0.8",
+                "--delta=1.2,2", f"--box={self.BOX}", "--res=131,131", "--verify-res=181,181",
+            ],
+            capsys,
+        )
+        assert code == 0 and report["verdict"] == {"all_ok": True, "cells": 4}
+        for grid, counts in zip(grids, counter.counts):
+            cover = np.zeros(grid.resolution, dtype=int)
+            for res, window in windows:
+                if res == grid.resolution:
+                    cover[window] += 1
+            assert cover.any() and (counts >= 1).all()
+            assert (counts <= 1 + cover).all() and (counts[cover == 0] == 1).all()
 
 
 # malformed command lines: exit 2 (usage) or 1 (domain), never a traceback

@@ -39,6 +39,10 @@ from ivfkit.ivf import (
     _grid_values,
     _grid_window,
     _halton_directions,
+    _memo_hit,
+    _mesh_values,
+    _slabs,
+    _window_grid_values,
     _window_to_grid,
     _window_values,
     sample_level_set,
@@ -457,6 +461,201 @@ class TestMeshRoute:
         # a 2-D entry from the catalog on the grids of an evp sweep
         entry = get_function("paper-levelset")
         assert _route_of(entry.ivf, SampleGrid(entry.box, (251, 251)), monkeypatch) == "mesh"
+
+
+def _expression_labels():
+    from ivfkit.catalog import catalog
+    from ivfkit.expr import ExprField
+
+    return sorted(e.label for e in catalog() if isinstance(e.ivf.joint, ExprField))
+
+
+def _bits(inf):
+    return np.array([inf.lo, inf.hi]).tobytes()
+
+
+def _windows(grid):
+    """Windows of ``grid`` to read: empty ones, ones on the box's edges and
+    corners, a one-point one, an inner one and the whole grid."""
+    res = grid.resolution
+    whole = tuple(slice(0, r) for r in res)
+    return [
+        tuple(slice(0, 0) for _ in res),
+        (slice(1, 1),) + whole[1:],
+        tuple(slice(0, min(2, r)) for r in res),
+        tuple(slice(max(0, r - 3), r) for r in res),
+        (slice(0, 1),) + tuple(slice(r - 1, r) for r in res[1:]),
+        tuple(slice(r // 2, r // 2 + 1) for r in res),
+        tuple(slice(r // 4, max(r // 4 + 1, 3 * r // 4)) for r in res),
+        whole,
+    ]
+
+
+def _slab_route_matches_the_full_mesh(f, grid_of):
+    """Minima and window values of ``f`` on a fresh grid from ``grid_of()``
+    against the full mesh of another fresh one, bit for bit.  On a grid of
+    more than one slab the memo holds no values until a window of more than
+    one slab is read."""
+    import ivfkit.ivf as ivf
+
+    want_lo, want_hi = _mesh_values(f, grid_of())
+    want = Interval(float(want_lo.min()), float(want_hi.min()))
+    grid = grid_of()
+    built = grid.size <= ivf._SLAB_POINTS
+    assert _bits(infimum_over(f, grid)) == _bits(want)
+    for window in _windows(grid):
+        built = built or math.prod(w.stop - w.start for w in window) > ivf._SLAB_POINTS
+        lo, hi = _window_grid_values(f, grid, window)
+        assert _same_bits(lo, _window_values(grid, want_lo, window)), window
+        assert _same_bits(hi, _window_values(grid, want_hi, window)), window
+        assert (_memo_hit(f, grid)[1] is not None) == built, window
+    assert _bits(infimum_over(f, grid)) == _bits(want)
+
+
+# (resolution, slab points): 2, odd and even points per axis; slabs of one
+# point, of part of a row, of whole rows and of the whole grid
+SLABBED_GRIDS = [
+    ((2,), 1), ((9,), 4), ((10,), 3), ((10,), 10),
+    ((2, 2), 1), ((7, 5), 4), ((8, 6), 12), ((9, 9), 81), ((4, 6), 7),
+    ((2, 2, 2), 3), ((5, 4, 3), 7), ((4, 6, 5), 30), ((3, 5, 4), 1), ((3, 3, 7), 40),
+]
+
+
+class TestSlabs:
+    """On a grid of more than ``_SLAB_POINTS`` points, the minima of an
+    expression-defined function come from slabs and its windows from their
+    own sub-meshes, with the bits and the errors of the full mesh."""
+
+    @pytest.mark.parametrize("res, slab", SLABBED_GRIDS)
+    def test_slabs_tile_the_grid_in_enumeration_order(self, res, slab, monkeypatch):
+        import ivfkit.ivf as ivf
+
+        monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
+        index = np.arange(math.prod(res)).reshape(res)
+        slabs = list(_slabs(res))
+        tiled = np.concatenate([index[w].ravel() for w in slabs])
+        assert np.array_equal(tiled, np.arange(index.size))
+        assert all(index[w].size <= slab for w in slabs)
+
+    @pytest.mark.parametrize("label", _expression_labels())
+    def test_catalog_entries_match_the_full_mesh(self, label, monkeypatch):
+        import ivfkit.ivf as ivf
+        from ivfkit.catalog import get_function
+
+        entry = get_function(label)
+        dim = entry.ivf.dim
+        # the slab size in use, just above and below it, and small slabs
+        above = (2, ivf._SLAB_POINTS // 2 + 1) if dim == 2 else (ivf._SLAB_POINTS + 1,)
+        sizes = [(above, None), ((131, 131) if dim == 2 else (20000,), None)]
+        sizes += [(res, slab) for res, slab in SLABBED_GRIDS if len(res) == dim]
+        for res, slab in sizes:
+            with monkeypatch.context() as mp:
+                if slab is not None:
+                    mp.setattr(ivf, "_SLAB_POINTS", slab)
+                # no reader here asks for the grid's points
+                mp.setattr(SampleGrid, "points", None)
+                _slab_route_matches_the_full_mesh(entry.ivf, lambda: SampleGrid(entry.box, res))
+
+    @pytest.mark.parametrize("texts", [
+        ("x1", "exp(x1) + x2^2 + x3"), ("min(x1, x2, x3)", "max(x1, x2, x3)"),
+        ("1/-0 + 0 * x2", "inf + x1"), ("2", "inf"), ("piecewise(x3 > 0, x1, -x2^2)", "3"),
+        ("-x2 * 0", "abs(x2 * x3)"), ("-abs(x1 * x3)", "abs(x2)"),
+    ])
+    def test_three_dimensional_expressions_match(self, texts, monkeypatch):
+        import ivfkit.ivf as ivf
+        from ivfkit.catalog import ivf_from_expressions
+
+        f = ivf_from_expressions(*texts, label="solid", dim=3)
+        box = Box(((-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5)))
+        for res, slab in SLABBED_GRIDS:
+            if len(res) == 3:
+                monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
+                _slab_route_matches_the_full_mesh(f, lambda: SampleGrid(box, res))
+
+    def test_random_pairs_match_the_full_mesh(self):
+        from hypothesis import given, settings, strategies as st
+
+        from ivfkit.catalog import ivf_from_expressions
+        from ivfkit.expr import ast_to_text
+        from test_expr import expr_trees
+
+        import ivfkit.ivf as ivf
+
+        box = Box(((-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5)))
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.tuples(expr_trees(), expr_trees()), st.sampled_from([1, 3, 7, 13]))
+        def check(pair, slab):
+            f = ivf_from_expressions(*(ast_to_text(n) for n in pair), label="pair", dim=3)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ivf, "_SLAB_POINTS", slab)
+                grid_of = lambda: SampleGrid(box, (4, 3, 5))  # noqa: E731
+                kind, _ = _outcome(lambda: f.values(grid_of().points()))
+                if kind == "values":
+                    _slab_route_matches_the_full_mesh(f, grid_of)
+                else:
+                    want = _outcome(lambda: f.values(grid_of().points()))
+                    assert _outcome(lambda: infimum_over(f, grid_of())) == want
+                    window = tuple(slice(0, 1) for _ in range(3))
+                    assert _outcome(lambda: _window_grid_values(f, grid_of(), window)) == want
+
+        check()
+
+    @pytest.mark.parametrize("texts, dim, res, slab, error", [
+        # NaN first at x1 = 0.6, in a later slab
+        (("x1*0+1", "piecewise(x1 > 0.5, 0/0, 2)"), 2, (11, 11), 11, InvalidEndpoints),
+        # reversed from x1 = -1 on, NaN from x1 = 0.6 on: NaN is named first
+        (("piecewise(x1 < -0.5, 3, 0)", "piecewise(x1 > 0.5, 0/0, 2)"), 2, (11, 11), 22,
+         InvalidEndpoints),
+        (("x1", "piecewise(x1 > 0.4, 0/0, x1 - 1)"), 1, (11,), 3, InvalidEndpoints),
+        # reversed only in a later slab, first at (0.6, -1)
+        (("piecewise(x1 > 0.5, 3, 0)", "2"), 2, (11, 11), 11, EndpointOrderViolation),
+        # reversed where x2 > x1 in every slab but the first
+        (("x2", "x1"), 2, (4, 5), 3, EndpointOrderViolation),
+        # NaN deep in a 3-D grid, in a slab of part of a row
+        (("x1 + x2 + x3", "piecewise(x3 > 0.5, 0/0, 5)"), 3, (3, 4, 5), 2, InvalidEndpoints),
+        # x3 on a 2-D grid, in the branch taken only in a later slab
+        (("piecewise(x1 > 0.5, x3, 0)", "1"), 2, (11, 11), 11, UnknownIdentifier),
+        (("x1", "x1 + 1"), 2, (3, 4, 2), 2, OutOfDomain),
+    ])
+    def test_errors_match_the_full_mesh(self, texts, dim, res, slab, error, monkeypatch):
+        import ivfkit.ivf as ivf
+        from ivfkit.catalog import ivf_from_expressions
+
+        monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
+        f = ivf_from_expressions(*texts, label="cli-expr", dim=dim)
+        box = Box(((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0))[: len(res)])
+        want = _outcome(lambda: f.values(SampleGrid(box, res).points()))
+        assert want[0] is error
+        assert _outcome(lambda: _mesh_values(f, SampleGrid(box, res))) == want
+        assert _outcome(lambda: infimum_over(f, SampleGrid(box, res))) == want
+        assert _outcome(lambda: is_proper_probe(f, SampleGrid(box, res))) == want
+        # a window away from the bad point names the grid's first bad point too
+        window = tuple(slice(0, 1) for _ in res)
+        assert _outcome(lambda: _window_grid_values(f, SampleGrid(box, res), window)) == want
+        if texts[0] == "x1*0+1":
+            assert want[1] == "'cli-expr' produced NaN at [0.6, -1.0]"
+
+    def test_values_are_built_on_request_and_keep_the_minima(self, monkeypatch):
+        import ivfkit.ivf as ivf
+        from ivfkit.catalog import get_function
+
+        monkeypatch.setattr(ivf, "_SLAB_POINTS", 100)
+        entry = get_function("paper-levelset")
+        grid = SampleGrid(entry.box, (31, 31))
+        inf = infimum_over(entry.ivf, grid)
+        hit = _memo_hit(entry.ivf, grid)
+        assert hit[1] is None and hit[2] is None and hit[3] == inf
+        # a window of more than one slab reads every value, once
+        _window_grid_values(entry.ivf, grid, (slice(0, 11), slice(0, 11)))
+        lo, hi = _grid_values(entry.ivf, grid)
+        assert _memo_hit(entry.ivf, grid)[3] is inf
+        assert _grid_values(entry.ivf, grid)[0] is lo
+        assert not lo.flags.writeable and not hi.flags.writeable
+        # other functions keep the one call on the grid's points
+        g = IVF(2, lambda P: P[:, 0] ** 2, lambda P: P[:, 0] ** 2 + 1, "lambda")
+        infimum_over(g, grid)
+        assert _memo_hit(g, grid)[1] is not None
 
 
 class TestEvaluation:
