@@ -19,14 +19,14 @@ endpoint makes the window the whole grid.
 
 Every grid a search touches -- the search grid, each local grid of the
 refinement and the grid of ``verify_certificate`` -- is evaluated once,
-through its memo.  On the search and verify grids the memo holds the minima
-of ``F`` first, reduced in slabs when ``F`` is defined by expressions, and
-stage 1 and the scan evaluate ``F`` on their window's own sub-mesh; values
-of every point are built only for the 21^dim local grids, for windows of
-more than one slab and for other functions.  The cone ``F + delta*|x -
-xbar|`` adds the same scalar to both endpoints, so stage 1 and the
-refinement take its values from those of ``F`` plus ``delta *
-_grid_distances``; ``perturbed`` is not evaluated on a grid.
+through its memo and its one evaluator, ``ivf._window_eval``, whatever
+defines ``F``.  On the search and verify grids the memo holds the minima of
+``F`` first, reduced in slabs, and stage 1 and the scan evaluate ``F`` on
+their own window; values of every point are built only for the 21^dim
+local grids and for windows of more than one slab.  The cone
+``F + delta*|x - xbar|`` adds the same scalar to both endpoints, so stage 1
+and the refinement take its values from those of ``F`` plus
+``delta * _grid_distances``; ``perturbed`` is not evaluated on a grid.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .interval import (
 )
 from .ivf import IVF, Box, SampleGrid, argmin_over, infimum_over, is_proper_probe
 from .ivf import (
-    _endpoints,
     _gh_gap,
     _grid_distances,
     _grid_points_at,
@@ -171,18 +170,12 @@ def perturbed(f: IVF, delta: float, center) -> IVF:
     def cone(pts: np.ndarray) -> np.ndarray:
         return delta * np.linalg.norm(pts - center[None, :], axis=1)
 
-    def joint(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = _endpoints(f, pts)
-        shift = cone(pts)
-        return np.asarray(lo, float) + shift, np.asarray(hi, float) + shift
-
     return IVF(
         dim=f.dim,
         lower=lambda pts: np.asarray(lower(pts), float) + cone(pts),
         upper=lambda pts: np.asarray(upper(pts), float) + cone(pts),
         label=f"{f.label}+{delta:g}*dist",
         domain=f.domain,
-        joint=joint,
     )
 
 

@@ -118,19 +118,20 @@ class SampleGrid:
     argmin, properness and level-set probes, the variational search and the
     certificate check evaluate a function once per grid.  The memo holds the
     componentwise minima first and the endpoint values on request: on a grid
-    of more than ``_SLAB_POINTS`` points, the minima of a function defined by
-    expressions come from slabs evaluated one at a time, its values are built
-    only for a reader of every point, and a window of at most one slab is
-    evaluated on its own sub-mesh.  Endpoint fields are assumed pure.  The
-    memo lives exactly as long as the grid object; it takes no part in
-    equality or hashing.
+    of more than ``_SLAB_POINTS`` points, the minima come from slabs
+    evaluated one at a time, the values are built only for a reader of every
+    point, and a window of at most one slab is evaluated on its own.
+    Endpoint fields are assumed pure.  The memo lives exactly as long as the
+    grid object; it takes no part in equality or hashing.
 
-    The grid is the tensor product of its ``axes()``, so a function defined
-    by expressions is evaluated on the open mesh ``np.ix_(*grid.axes())``
-    without materializing ``points()``: a subtree that depends on one
-    coordinate runs on that axis alone.  The axes are built once, with the
-    grid, and kept read-only; like the memo they take no part in equality,
-    hashing or repr.
+    Every read of a function at grid points -- the whole grid, a slab or a
+    window -- goes through one evaluator, ``_window_eval``.  The grid is the
+    tensor product of its ``axes()``, so a function defined by expressions is
+    evaluated on the window's open mesh without materializing its points: a
+    subtree that depends on one coordinate runs on that axis alone.  Any
+    other function goes through ``IVF.values`` on the window's points.  The
+    axes are built once, with the grid, and kept read-only; like the memo
+    they take no part in equality, hashing or repr.
     """
 
     box: Box
@@ -165,12 +166,7 @@ class SampleGrid:
 
     def points(self) -> np.ndarray:
         """Every grid point in enumeration order, shape (size, dim)."""
-        axes = self.axes()
-        dim = len(axes)
-        out = np.empty(self.resolution + (dim,))
-        for d, ax in enumerate(axes):
-            out[..., d] = ax.reshape((-1,) + (1,) * (dim - 1 - d))
-        return out.reshape(-1, dim)
+        return _mesh_points(self.axes())
 
     def spacing(self) -> np.ndarray:
         return np.array(
@@ -198,6 +194,16 @@ def _axis(a: float, b: float, r: int) -> np.ndarray:
     ax[-1] = b
     ax.setflags(write=False)
     return ax
+
+
+def _mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every point of the tensor product of ``axes``, in enumeration order,
+    shape (prod of lengths, dim)."""
+    dim = len(axes)
+    out = np.empty(tuple(len(ax) for ax in axes) + (dim,))
+    for d, ax in enumerate(axes):
+        out[..., d] = ax.reshape((-1,) + (1,) * (dim - 1 - d))
+    return out.reshape(-1, dim)
 
 
 DEFAULT_DELTA_LADDER = (0.5, 0.1, 0.02, 0.004, 0.0008, 0.00016)
@@ -273,15 +279,16 @@ class IVF:
     once and must agree with ``lower`` and ``upper``; ``values`` then calls it
     instead of the two fields, so work the endpoints share is done once.
     Functions built from expressions have one that computes each common
-    subtree once, and ``ekeland.perturbed`` gives its cone one that evaluates
-    ``f`` and the distance once.  It takes no part in equality or repr, and
+    subtree once.  It takes no part in equality or repr, and
     ``dataclasses.replace`` keeps it: pass ``joint=None`` when replacing an
     endpoint field.
 
-    A ``joint`` that is an ``expr.ExprField`` (as ``compile_field`` returns)
-    also evaluates on a grid's open mesh, and grid probes use that route;
-    any other function is evaluated on the grid's points.  Replacing
-    ``joint`` with another callable drops the mesh route with it.
+    Grid probes read a function through one evaluator, ``_window_eval``: a
+    ``joint`` that is an ``expr.ExprField`` (as ``compile_field`` returns) is
+    evaluated on the open mesh of the grid points read, and any other
+    function through ``values`` on those points, with the same checks and
+    errors.  Replacing ``joint`` with another callable drops the mesh route
+    with it.
     """
 
     dim: int
@@ -597,9 +604,24 @@ def indicator(pred: Callable[[np.ndarray], np.ndarray], dim: int, label: str = "
 
 def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only endpoint values of ``f`` on ``grid`` in enumeration order,
-    evaluated on the first request and kept in the grid's memo."""
-    _, lo, hi, _ = _grid_entry(f, grid)
-    return lo, hi
+    evaluated as one window on the first request and kept in the grid's
+    memo with their componentwise minima; minima already kept stay.
+
+    The memo is keyed by the identity of ``f`` and holds ``f`` itself, so the
+    key cannot be reused while the entry lives, and endpoint fields need not
+    be hashable.  Values in the memo passed the endpoint checks: none is NaN
+    and ``lo <= hi`` everywhere.  Each is a view of its own, so the read-only
+    flag never touches an array a field returned from its own state.
+    """
+    hit = _memo_hit(f, grid)
+    if hit is None or hit[1] is None:
+        whole = tuple(slice(0, r) for r in grid.resolution)
+        lo, hi = (_raveled(v, grid.resolution) for v in _window_eval(f, grid, whole))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        inf = Interval(float(lo.min()), float(hi.min())) if hit is None else hit[3]
+        hit = grid._memo[id(f)] = (f, lo, hi, inf)
+    return hit[1], hit[2]
 
 
 # Grids of more points are reduced in slabs of at most this many points.  A
@@ -611,95 +633,40 @@ _SLAB_POINTS = 2**14
 
 
 def _memo_hit(f: IVF, grid: SampleGrid) -> Optional[tuple]:
+    """The grid memo's entry ``(f, lo, hi, minima)`` for ``f``, or None; ``lo``
+    and ``hi`` are None until a reader of every point asks for them."""
     hit = grid._memo.get(id(f))
     return hit if hit is not None and hit[0] is f else None
 
 
-def _grid_entry(f: IVF, grid: SampleGrid) -> tuple[IVF, np.ndarray, np.ndarray, Interval]:
-    """The grid memo's entry for ``f`` with its values: ``f`` itself, its
-    read-only endpoint values on ``grid`` in enumeration order, and their
-    componentwise minima, the values computed on the first request.
-
-    The memo holds the minima first and the values on request: for a grid
-    of more than ``_SLAB_POINTS`` points, ``_grid_minimum`` keeps only the
-    minima of an expression-defined function, and its values are evaluated
-    only when a reader of every point (the argmin, a level set, a window of
-    more than one slab) asks for them; the kept minima stay.  Until then a
-    window of at most one slab is evaluated on its own sub-mesh
-    (``_window_grid_values``), and the memo keeps none of its values.
+def _window_eval(
+    f: IVF, grid: SampleGrid, window: tuple[slice, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoint values of ``f`` at the grid points in ``window``, with
+    the checks of ``IVF.values``: a NaN, then ``lo > hi``, each named at the
+    window's first bad point in enumeration order.  The only code that
+    evaluates a function at grid points.
 
     A function whose ``joint`` is a compiled expression field is evaluated
-    on the grid's open mesh, so each subtree runs on the axes it depends on,
-    and each value is broadcast to the grid into an array of its own; any
-    other function goes through ``IVF.values`` on ``grid.points()``.  Both
-    routes give the same bits and raise the same errors, naming the same
-    first bad point.
-
-    The memo is keyed by the identity of ``f`` and holds ``f`` itself, so the
-    key cannot be reused while the entry lives, and endpoint fields need not
-    be hashable.  Values in the memo passed the endpoint checks: none is NaN
-    and ``lo <= hi`` everywhere.
+    on the window's open mesh, so each subtree runs on the axes it depends
+    on, and each value comes back in a shape that broadcasts to the
+    window's; ``lo <= hi`` on those values fails wherever a value is NaN or
+    the endpoints are reversed, so the full checks run only then.  Any other
+    function goes through ``IVF.values`` on the window's points, and each
+    value comes back in the window's shape, copied out when it is not
+    contiguous (a column of the points).  Both routes give the same bits.
     """
-    hit = _memo_hit(f, grid)
-    if hit is None or hit[1] is None:
-        if isinstance(f.joint, ExprField):
-            lo, hi = _mesh_values(f, grid)
-        else:
-            # views, so the read-only flag never touches an array a field
-            # returned from its own state; columns of the points are copied out
-            lo, hi = (np.ascontiguousarray(v).view() for v in f.values(grid.points()))
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        inf = Interval(float(lo.min()), float(hi.min())) if hit is None else hit[3]
-        hit = grid._memo[id(f)] = (f, lo, hi, inf)
-    return hit
-
-
-def _grid_minimum(f: IVF, grid: SampleGrid) -> Interval:
-    """Componentwise minima of ``f`` over ``grid``, kept in the grid's memo.
-
-    An expression-defined function on a grid of more than ``_SLAB_POINTS``
-    points is reduced slab by slab (``_slab_minimum``) and the memo keeps
-    the minima alone; any other is evaluated through ``_grid_entry``.
-    """
-    hit = _memo_hit(f, grid)
-    if hit is None:
-        if not (isinstance(f.joint, ExprField) and grid.size > _SLAB_POINTS):
-            return _grid_entry(f, grid)[3]
-        hit = grid._memo[id(f)] = (f, None, None, _slab_minimum(f, grid))
-    return hit[3]
-
-
-def _slab_minimum(f: IVF, grid: SampleGrid) -> Interval:
-    """Componentwise minima of an expression-defined ``f`` over ``grid``,
-    evaluated slab by slab on each slab's open sub-mesh, with the checks and
-    errors of ``_mesh_values``: NaN anywhere is named before a reversed pair
-    anywhere, each at its first point in enumeration order.
-
-    A minimum is exact in any order of reduction but for the sign of a zero,
-    which ``Interval`` drops.
-    """
-    _check_dim(f, grid.box.dim)
-    lo_min = hi_min = _INF
-    reversed_pair = None
-    for window in _slabs(grid.resolution):
-        lo, hi = _sub_mesh_values(f, grid, window)
+    axes = [ax[w] for ax, w in zip(grid.axes(), window)]
+    shape = tuple(len(ax) for ax in axes)
+    if isinstance(f.joint, ExprField):
+        _check_dim(f, grid.box.dim)
+        lo, hi = f.joint(np.ix_(*axes))
         if not (lo <= hi).all():
-            shape = tuple(w.stop - w.start for w in window)
-
-            def point_at(i: int) -> np.ndarray:
-                return _grid_points_at(grid, _window_to_grid(grid, window, np.array([i])))[0]
-
-            try:
-                _check_endpoints(f, _raveled(lo, shape), _raveled(hi, shape), point_at)
-            except EndpointOrderViolation as exc:
-                # a NaN in a later slab is named first
-                reversed_pair = reversed_pair or exc
-        lo_min = min(lo_min, float(lo.min()))
-        hi_min = min(hi_min, float(hi.min()))
-    if reversed_pair is not None:
-        raise reversed_pair
-    return Interval(lo_min, hi_min)
+            _check_endpoints(
+                f, _raveled(lo, shape), _raveled(hi, shape), lambda i: _mesh_points(axes)[i]
+            )
+        return lo, hi
+    return tuple(np.ascontiguousarray(v).reshape(shape) for v in f.values(_mesh_points(axes)))
 
 
 def _slabs(resolution: tuple[int, ...]):
@@ -722,49 +689,24 @@ def _slabs(resolution: tuple[int, ...]):
             yield held + (slice(start, min(start + step, resolution[split])),) + whole
 
 
-def _sub_mesh_values(
-    f: IVF, grid: SampleGrid, window: tuple[slice, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both endpoint values of an expression-defined ``f`` on the open mesh
-    of the grid points in ``window``, unbroadcast and unchecked."""
-    return f.joint(np.ix_(*(ax[w] for ax, w in zip(grid.axes(), window))))
-
-
 def _window_grid_values(
     f: IVF, grid: SampleGrid, window: tuple[slice, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint values of ``f`` at the grid points in ``window``, in
     enumeration order.
 
-    The whole grid is checked first, through ``_grid_minimum``, so errors
+    The whole grid is checked first, through ``infimum_over``, so errors
     name the grid's first bad point.  When the memo holds no values and the
-    window holds at most ``_SLAB_POINTS`` points, an expression-defined
-    ``f`` is evaluated on the window's own sub-mesh, with the bits of the
-    full mesh; otherwise the window is read from the values in the memo.
+    window holds at most ``_SLAB_POINTS`` points, the window is evaluated on
+    its own, with the bits of the whole grid; otherwise it is read from the
+    values in the memo.
     """
-    _grid_minimum(f, grid)
+    infimum_over(f, grid)
     shape = tuple(w.stop - w.start for w in window)
     if _memo_hit(f, grid)[1] is None and math.prod(shape) <= _SLAB_POINTS:
-        return tuple(_raveled(v, shape) for v in _sub_mesh_values(f, grid, window))
+        return tuple(_raveled(v, shape) for v in _window_eval(f, grid, window))
     lo, hi = _grid_values(f, grid)
     return _window_values(grid, lo, window), _window_values(grid, hi, window)
-
-
-def _mesh_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
-    """``IVF.values`` of an expression-defined ``f`` at every grid point, in
-    enumeration order, computed on the grid's open mesh.
-
-    A value that depends on every axis is already a fresh array of the grid's
-    shape and is raveled in place; any other is broadcast into a new array.
-    ``lo <= hi`` on the unbroadcast values fails wherever a value is NaN or
-    the endpoints are reversed, so the full checks run only then.
-    """
-    _check_dim(f, grid.box.dim)
-    lo_root, hi_root = f.joint(np.ix_(*grid.axes()))
-    lo, hi = (_raveled(v, grid.resolution) for v in (lo_root, hi_root))
-    if not (lo_root <= hi_root).all():
-        _check_endpoints(f, lo, hi, lambda i: _grid_points_at(grid, np.array([i]))[0])
-    return lo, hi
 
 
 def _raveled(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -847,8 +789,38 @@ def _gh_gap(lo: np.ndarray, hi: np.ndarray, ref_lo: float, ref_hi: float) -> np.
 
 
 def infimum_over(f: IVF, grid: SampleGrid) -> Interval:
-    """Componentwise infimum of the sampled values."""
-    return _grid_minimum(f, grid)
+    """Componentwise infimum of the sampled values, kept in the grid's memo.
+
+    A grid of at most ``_SLAB_POINTS`` points is evaluated as one window and
+    the memo keeps its values too.  A larger one is reduced slab by slab,
+    each slab's minima taken from its unbroadcast values, and the memo keeps
+    the minima alone.  The errors are those of ``IVF.values`` on the grid's
+    points: a NaN anywhere is named before a reversed pair anywhere, each at
+    its first point in enumeration order.  A minimum is exact in any order
+    of reduction but for the sign of a zero, which ``Interval`` drops.
+    """
+    hit = _memo_hit(f, grid)
+    if hit is not None:
+        return hit[3]
+    if grid.size <= _SLAB_POINTS:
+        _grid_values(f, grid)
+        return _memo_hit(f, grid)[3]
+    lo_min = hi_min = _INF
+    reversed_pair = None
+    for window in _slabs(grid.resolution):
+        try:
+            lo, hi = _window_eval(f, grid, window)
+        except EndpointOrderViolation as exc:
+            # a NaN in a later slab is named first
+            reversed_pair = reversed_pair or exc
+            continue
+        lo_min = min(lo_min, float(lo.min()))
+        hi_min = min(hi_min, float(hi.min()))
+    if reversed_pair is not None:
+        raise reversed_pair
+    inf = Interval(lo_min, hi_min)
+    grid._memo[id(f)] = (f, None, None, inf)
+    return inf
 
 
 def is_proper_probe(f: IVF, grid: SampleGrid) -> bool:
@@ -868,8 +840,8 @@ def argmin_over(f: IVF, grid: SampleGrid, tol: float) -> np.ndarray:
     Infinite endpoints of the infimum must be matched exactly; the finite gap
     is measured in the gH-distance.  Empty when the infimum is plus-infinity.
     """
-    _, lo, hi, inf = _grid_entry(f, grid)
-    return _grid_points_at(grid, _near_minimum(lo, hi, inf, tol))
+    lo, hi = _grid_values(f, grid)
+    return _grid_points_at(grid, _near_minimum(lo, hi, infimum_over(f, grid), tol))
 
 
 def _near_minimum(lo: np.ndarray, hi: np.ndarray, minimum: Interval, tol: float) -> np.ndarray:

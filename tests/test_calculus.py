@@ -92,6 +92,15 @@ class TestGateauxDerivative:
         with pytest.raises(NonConvergent):
             gateaux_derivative(wild, (0.0,), (1.0,))
 
+    @pytest.mark.xfail(strict=True, raises=NonConvergent, reason="ROADMAP item 5")
+    def test_smooth_catalog_derivative_converges(self):
+        # the last rung of the ladder sits in roundoff noise: today the
+        # quotients differ by 3.16e-6 at lambda 1e-8
+        from ivfkit.catalog import get_function
+
+        d = gateaux_derivative(get_function("paper-levelset").ivf, (1.0, 1.0), (0.0, 1.0))
+        assert gh_dist(d.value, Interval(6 * math.e, 8 * math.e)) <= 1e-4
+
     def test_bad_ladder(self):
         with pytest.raises(ValueError):
             gateaux_derivative(quadratic_pair(), (1.0,), (1.0,), ladder=(1e-2,))

@@ -144,6 +144,21 @@ class TestEvpSearch:
         with pytest.raises(EmptyArgmin):
             evp_search(quadratic_input(eps=0.6, delta=0.5, xbar=0.5))
 
+    @pytest.mark.xfail(strict=True, raises=EmptyArgmin, reason="ROADMAP item 6")
+    @pytest.mark.parametrize("xbar, delta", [(0.5, 0.1), (0.5, 0.3), (0.6, 0.05), (0.5, 0.01)])
+    def test_split_endpoint_minimizers_return_certificates(self, xbar, delta):
+        # the endpoint minimizers sit at 0.3 and 0.7; today stage 1 finds no
+        # point near both minima of the cone and raises EmptyArgmin
+        from ivfkit.catalog import ivf_from_expressions
+
+        f = ivf_from_expressions("(x1 - 0.3)^2", "(x1 - 0.7)^2 + 2", label="split")
+        box = Box(((-1.0, 2.0),))
+        inp = EkelandInput(
+            f=f, xbar=(xbar,), eps=0.5, delta=delta, box=box, grid=SampleGrid(box, (3001,))
+        )
+        cert = evp_search(inp)
+        assert cert.dist_bound_ok and cert.descent_ok
+
     def test_plateau_reports_ties(self):
         inp = EkelandInput(
             f=plateau_pair(),
