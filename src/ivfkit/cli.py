@@ -33,10 +33,8 @@ from .catalog import (
 from .calculus import _checked_ladder, gateaux_derivative
 from .ekeland import (
     EkelandInput,
-    evp_gateaux,
-    evp_search,
+    _sweep_cell,
     level_bound_lemma_check,
-    verify_certificate,
 )
 from .errors import InvalidEndpoints, IvfkitError
 from .interval import (
@@ -319,6 +317,8 @@ def _cmd_evp(args: RunConfig) -> int:
     directions = np.vstack([np.eye(f.dim), -np.eye(f.dim)])
     # one verify grid for the whole sweep, so f is evaluated on it once
     fine = SampleGrid(args.box, args.verify_res) if args.verify_res else None
+    # cells of one delta share its search and verification
+    searched: dict = {}
     cells = []
     rows = []
     all_ok = True
@@ -328,13 +328,9 @@ def _cmd_evp(args: RunConfig) -> int:
                 f=f, xbar=_parse_point(args.xbar), eps=eps, delta=delta,
                 box=args.box, grid=grid, tol=tol,
             )
-            if args.gateaux:
-                cert, bound = evp_gateaux(inp, directions)
-            else:
-                cert, bound = evp_search(inp), None
-            verified = None
-            if fine is not None:
-                verified = verify_certificate(f, cert, fine, delta, tol)
+            cert, bound, verified = _sweep_cell(
+                inp, searched, directions if args.gateaux else None, fine
+            )
             ok = cert.valid and (verified is not False)
             if bound is not None:
                 ok = ok and bound <= delta + 1e-3
@@ -474,14 +470,14 @@ def run_selftest(seed: int = 7) -> tuple[bool, list[dict]]:
     evp_grid = SampleGrid(box, (4001,))
     fine = SampleGrid(box, (40001,))
     directions = np.array([[1.0], [-1.0]])
+    searched: dict = {}
     for eps in (0.01, 0.1):
         for delta in (0.5, 1.0, 2.0):
             inp = EkelandInput(
                 f=quad.ivf, xbar=(0.05,), eps=eps, delta=delta,
                 box=box, grid=evp_grid, tol=1e-9,
             )
-            cert, bound = evp_gateaux(inp, directions)
-            verified = verify_certificate(quad.ivf, cert, fine, delta, 1e-9)
+            cert, bound, verified = _sweep_cell(inp, searched, directions, fine)
             check(
                 f"evp/quadratic-eps{eps:g}-delta{delta:g}",
                 cert.valid and verified and bound <= delta + 1e-3,

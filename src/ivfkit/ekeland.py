@@ -8,6 +8,15 @@ and strict minimality of ``x0`` for the ``x0``-centered perturbation over the
 sampled grid.  Uniqueness is reported as evidence over the sample set, never
 as a proof; tolerance-scale ties (plateaus) are surfaced as warnings.
 
+As in Ekeland's construction, ``x0`` minimizes the perturbation
+``F + delta*|x - xbar|``, which does not involve ``eps``: ``eps`` reaches
+only the hypothesis ``F(xbar) < inf F + eps`` and the distance bound
+``eps/delta``.  The witness, ``F(x0)``, descent, the scan and the descent
+and scan halves of ``verify_certificate`` depend on ``f``, ``xbar``,
+``delta``, ``box``, ``grid`` and ``tol`` alone, so an ``eps x delta`` sweep
+searches and verifies once per ``delta`` and re-targets the kept
+certificate to each further ``eps`` (``_sweep_cell``).
+
 The strict-minimality scan and stage 1 of the search read only the grid
 points of a ball.  A point ``x`` can tie with ``F(x0)`` at ``tol`` or fail to
 be strictly dominated by it only if ``delta*|x - x0| <= max(F(x0).lo - min lo,
@@ -19,11 +28,12 @@ endpoint makes the window the whole grid.
 
 Every grid a search touches -- the search grid, each local grid of the
 refinement and the grid of ``verify_certificate`` -- is evaluated once,
-through its memo and its one evaluator, ``ivf._window_eval``, whatever
-defines ``F``.  On the search and verify grids the memo holds the minima of
-``F`` first, reduced in slabs, and stage 1 and the scan evaluate ``F`` on
-their own window; values of every point are built only for the 21^dim
-local grids and for windows of more than one slab.  The cone
+through its one evaluator, ``ivf._window_eval``, whatever defines ``F``.
+A local grid is read once and dropped after its round.  The search and
+verify grids keep a memo, which holds the minima of ``F`` first, reduced in
+slabs, and stage 1 and the scan evaluate ``F`` on their own window; values
+of every point are built only for the 21^dim local grids and for windows of
+more than one slab.  The cone
 ``F + delta*|x - xbar|`` adds the same scalar to both endpoints, so stage 1
 and the refinement take its values from those of ``F`` plus
 ``delta * _grid_distances``; ``perturbed`` is not evaluated on a grid.
@@ -31,6 +41,7 @@ and the refinement take its values from those of ``F`` plus
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -53,9 +64,9 @@ from .ivf import (
     _gh_gap,
     _grid_distances,
     _grid_points_at,
-    _grid_values,
     _grid_window,
     _near_minimum,
+    _whole_grid_eval,
     _window_grid_values,
     _window_to_grid,
 )
@@ -217,6 +228,8 @@ def _strict_minimality_scan(
     tie = off & dominated & (gap <= tie_tol)
 
     def points(mask: np.ndarray) -> list[tuple[float, ...]]:
+        if not mask.any():
+            return []
         flat = _window_to_grid(grid, window, np.flatnonzero(mask))
         return [tuple(p) for p in _grid_points_at(grid, flat).tolist()]
 
@@ -233,6 +246,8 @@ def _pick_witness(
     winners = np.flatnonzero(dist <= tol)
     if len(winners) == 0:
         winners = np.flatnonzero(dist == dist.min())
+    if len(winners) == 1:
+        return int(winners[0])
     order = np.argsort(np.linalg.norm(candidates[winners] - xbar[None, :], axis=1), kind="stable")
     winners = winners[order]
     best = winners[0]
@@ -309,7 +324,8 @@ def _refine(inp: EkelandInput, x0: np.ndarray, value_x0: Interval) -> np.ndarray
             )
         ).intersect(inp.box)
         local_grid = SampleGrid(local, (REFINEMENT_RESOLUTION,) * f.dim)
-        lo, hi = _grid_values(f, local_grid)
+        # read once and dropped after the round, so kept out of any memo
+        lo, hi = _whole_grid_eval(f, local_grid)
         shift = delta * _grid_distances(local_grid, xbar)
         cone_lo, cone_hi = lo + shift, hi + shift
         near = _near_minimum(
@@ -328,12 +344,27 @@ def _refine(inp: EkelandInput, x0: np.ndarray, value_x0: Interval) -> np.ndarray
     return x0
 
 
+def _check_hypothesis(inf_f: Interval, value_xbar: Interval, eps: float) -> None:
+    """Raise ``HypothesisViolated`` unless ``F(xbar) = value_xbar`` lies
+    strictly within ``eps`` of the sampled infimum ``inf_f``."""
+    if not prec(value_xbar, add_scalar(inf_f, eps)):
+        raise HypothesisViolated(
+            f"F(xbar)={value_xbar!r} is not strictly within eps={eps:g} "
+            f"of the sampled infimum {inf_f!r}"
+        )
+
+
 def evp_search(inp: EkelandInput) -> EkelandCertificate:
     """Two-stage perturbed-argmin search with local refinement.
 
     Stage 1 minimizes ``F + delta*|x - xbar|`` over the grid; stage 2 picks,
     among those minimizers, a point minimizing ``F`` itself.  Up to three
     rounds of ten-times-finer local grids tighten the witness.
+
+    ``eps`` reaches only the hypothesis check and the distance bound
+    ``eps/delta``: the witness, ``F(x0)``, descent, the scan and its
+    warnings depend on ``f``, ``xbar``, ``delta``, ``box``, ``grid`` and
+    ``tol`` alone.
     """
     f = inp.f
     xbar = np.asarray(inp.xbar, dtype=float)
@@ -341,11 +372,7 @@ def evp_search(inp: EkelandInput) -> EkelandCertificate:
     if not inf_f.is_finite:
         raise HypothesisViolated(f"sampled infimum {inf_f!r} is not finite")
     value_xbar = f(xbar)
-    if not prec(value_xbar, add_scalar(inf_f, inp.eps)):
-        raise HypothesisViolated(
-            f"F(xbar)={value_xbar!r} is not strictly within eps={inp.eps:g} "
-            f"of the sampled infimum {inf_f!r}"
-        )
+    _check_hypothesis(inf_f, value_xbar, inp.eps)
 
     stage1, lo, hi = _stage1_near_set(f, inp.grid, xbar, value_xbar, inf_f, inp.delta, inp.tol)
     i = _pick_witness(stage1, lo, hi, xbar, inp.tol)
@@ -383,6 +410,18 @@ def evp_search(inp: EkelandInput) -> EkelandCertificate:
     )
 
 
+def _retarget(inp: EkelandInput, cert: EkelandCertificate) -> EkelandCertificate:
+    """The certificate ``evp_search(inp)`` returns, built from ``cert``, which
+    ``evp_search`` returned for an input that differs from ``inp`` at most in
+    ``eps``: the hypothesis is checked against the kept ``F(xbar)``, and only
+    ``eps`` and the distance bound change."""
+    _check_hypothesis(infimum_over(inp.f, inp.grid), cert.value_xbar, inp.eps)
+    bound = inp.eps / inp.delta
+    return dataclasses.replace(
+        cert, eps=inp.eps, dist_bound=bound, dist_bound_ok=cert.dist_x0_xbar < bound
+    )
+
+
 def verify_certificate(
     f: IVF,
     cert: EkelandCertificate,
@@ -391,13 +430,61 @@ def verify_certificate(
     tol: float,
 ) -> bool:
     """Independent recheck of all three conclusions, typically on a finer grid."""
+    eps_free_ok = _verify_descent_and_scan(f, cert, grid, delta, tol)
+    return _verify_distance(cert, delta) and eps_free_ok
+
+
+def _verify_distance(cert: EkelandCertificate, delta: float) -> bool:
+    """The distance half of ``verify_certificate``, the only part ``eps`` reaches."""
     x0 = np.asarray(cert.x0, dtype=float)
     xbar = np.asarray(cert.xbar, dtype=float)
-    dist_ok = float(np.linalg.norm(x0 - xbar)) < cert.eps / delta
+    return float(np.linalg.norm(x0 - xbar)) < cert.eps / delta
+
+
+def _verify_descent_and_scan(
+    f: IVF, cert: EkelandCertificate, grid: SampleGrid, delta: float, tol: float
+) -> bool:
+    """Descent and the strict-minimality scan of ``verify_certificate``,
+    rechecked from ``cert.x0`` and ``cert.xbar``."""
+    x0 = np.asarray(cert.x0, dtype=float)
     value_x0 = f(x0)
-    descent_ok = preceq(value_x0, f(xbar))
+    descent_ok = preceq(value_x0, f(np.asarray(cert.xbar, dtype=float)))
     _, violations, _ = _strict_minimality_scan(f, x0, value_x0, delta, grid, tol)
-    return dist_ok and descent_ok and not violations
+    return descent_ok and not violations
+
+
+def _sweep_cell(
+    inp: EkelandInput,
+    searched: dict,
+    directions: Optional[np.ndarray],
+    fine: Optional[SampleGrid],
+) -> tuple[EkelandCertificate, Optional[float], Optional[bool]]:
+    """One cell of an ``eps x delta`` sweep: the certificate of
+    ``evp_search(inp)``, or of ``evp_gateaux(inp, directions)`` with its
+    bound, and ``verify_certificate`` on ``fine``, each None when not asked.
+
+    ``searched`` is shared by the cells of one sweep, which differ only in
+    ``eps`` and ``delta``.  It keeps, per delta, the eps-free results of the
+    first cell: the certificate, the bound and the descent and scan halves of
+    the verification.  A later cell of that delta only re-targets them, so
+    it raises what a search of its own would raise first, the hypothesis.
+    """
+    if inp.delta in searched:
+        cert, bound, eps_free_ok = searched[inp.delta]
+        cert = _retarget(inp, cert)
+    else:
+        if directions is None:
+            cert, bound = evp_search(inp), None
+        else:
+            cert, bound = evp_gateaux(inp, directions)
+        eps_free_ok = None
+        if fine is not None:
+            eps_free_ok = _verify_descent_and_scan(inp.f, cert, fine, inp.delta, inp.tol)
+        searched[inp.delta] = (cert, bound, eps_free_ok)
+    verified = None
+    if fine is not None:
+        verified = _verify_distance(cert, inp.delta) and eps_free_ok
+    return cert, bound, verified
 
 
 def evp_gateaux(

@@ -301,7 +301,9 @@ class IVF:
     )
 
     def values(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate both endpoint fields on an (N, dim) array, with checks."""
+        """Evaluate both endpoint fields on an (N, dim) array, with checks:
+        each field must return ``N`` values, shape ``(N,)`` (a scalar is
+        not broadcast), else ``InvalidEndpoints`` names the shapes."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim < 2:
             pts = np.atleast_2d(pts)
@@ -310,6 +312,12 @@ class IVF:
             lo, hi = _endpoints(self, pts)
             lo = np.asarray(lo, dtype=float)
             hi = np.asarray(hi, dtype=float)
+        n = (len(pts),)
+        if lo.shape != n or hi.shape != n:
+            raise InvalidEndpoints(
+                f"{self.label!r}: endpoint fields returned shapes {lo.shape} and {hi.shape} "
+                f"for {n[0]} points, expected {n}"
+            )
         _check_endpoints(self, lo, hi, pts.__getitem__)
         return lo, hi
 
@@ -615,13 +623,20 @@ def _grid_values(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     hit = _memo_hit(f, grid)
     if hit is None or hit[1] is None:
-        whole = tuple(slice(0, r) for r in grid.resolution)
-        lo, hi = (_raveled(v, grid.resolution) for v in _window_eval(f, grid, whole))
+        lo, hi = _whole_grid_eval(f, grid)
         lo.setflags(write=False)
         hi.setflags(write=False)
         inf = Interval(float(lo.min()), float(hi.min())) if hit is None else hit[3]
         hit = grid._memo[id(f)] = (f, lo, hi, inf)
     return hit[1], hit[2]
+
+
+def _whole_grid_eval(f: IVF, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint values of ``f`` at every point of ``grid`` in enumeration
+    order, read as one window and kept in no memo."""
+    whole = tuple(slice(0, r) for r in grid.resolution)
+    lo, hi = _window_eval(f, grid, whole)
+    return _raveled(lo, grid.resolution), _raveled(hi, grid.resolution)
 
 
 # Grids of more points are reduced in slabs of at most this many points.  A

@@ -194,6 +194,115 @@ class TestEvp:
         assert "eps" in header and "uniqueness_violations" in header
 
 
+def _per_cell(inp, searched, directions, fine):
+    """Reference sweep cell: a full search, and a full verification on
+    ``fine``, for every eps x delta cell; ``searched`` is left unused."""
+    from ivfkit.ekeland import evp_gateaux, evp_search, verify_certificate
+
+    if directions is None:
+        cert, bound = evp_search(inp), None
+    else:
+        cert, bound = evp_gateaux(inp, directions)
+    verified = None if fine is None else verify_certificate(inp.f, cert, fine, inp.delta, inp.tol)
+    return cert, bound, verified
+
+
+# sweeps of 2-3 eps x 2-3 deltas with one delta repeated, over 1-D and 2-D
+# catalog entries; the last three raise at a later cell
+SWEEPS = [
+    ["--fn=quadratic", "--xbar=0.05", "--eps=0.01,0.1,0.05", "--delta=0.5,1,0.5",
+     "--box=-2:2", "--res=2001", "--verify-res=4001"],
+    ["--fn=plateau", "--xbar=0.5", "--eps=0.1,0.3", "--delta=0.5,1,0.5", "--tol=0.01",
+     "--box=-3:3", "--res=601", "--verify-res=1201"],
+    ["--fn=constant", "--xbar=0", "--eps=0.5,1", "--delta=1,2,1", "--tol=1e-3",
+     "--box=-1:1", "--res=201", "--verify-res=401"],
+    ["--fn=abs-pair", "--xbar=0.1", "--eps=0.5,1,0.3", "--delta=3,0.5,3",
+     "--box=-1:1", "--res=201", "--verify-res=401"],
+    ["--fn=paper-levelset", "--xbar=0.1,0.1", "--eps=0.3,0.8,0.5", "--delta=1.2,2,1.2",
+     "--box=-3:3,-3:3", "--res=61,61", "--verify-res=121,121"],
+    ["--fn=paper-proper", "--xbar=-1.99,0", "--eps=0.5,1", "--delta=2.5,1.2,2.5",
+     "--box=-2:2,-1:1", "--res=101,101", "--verify-res=201,201"],
+    ["--fn=paper-lsc-sin", "--xbar=0,0.3", "--eps=0.3,0.8", "--delta=1.2,2,1.2",
+     "--box=-1:1,-1:1", "--res=101,101", "--verify-res=201,201"],
+    ["--fn=quadratic", "--xbar=0.05", "--eps=0.01,0.001", "--delta=0.5,1,0.5",
+     "--box=-2:2", "--res=2001"],
+    ["--fn=quadratic", "--xbar=0.5", "--eps=0.6,0.9", "--delta=2,0.5,2",
+     "--box=-2:2", "--res=2001", "--verify-res=4001"],
+    ["--lower=(x1-0.3)^2", "--upper=(x1-0.7)^2+2", "--xbar=0.5", "--eps=0.5,0.7",
+     "--delta=3,0.3,3", "--box=-1:2", "--res=3001"],
+]
+
+
+class TestEvpSweepReuse:
+    """Each delta of a sweep is searched and verified once; every cell and
+    every error match a full search and verification per cell."""
+
+    @pytest.mark.parametrize("form", [[], ["--gateaux"], ["--format=csv"]],
+                             ids=["json", "gateaux", "csv"])
+    @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda argv: argv[0].split("=")[1])
+    def test_sweep_matches_the_per_cell_reference(self, sweep, form, capsys, monkeypatch):
+        from ivfkit import cli
+
+        argv = ["evp", *sweep, *form]
+        got = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "_sweep_cell", _per_cell)
+        want = run_cli(argv, capsys)
+        assert got == want
+        assert want[1] or want[2]  # a report or an error line, not nothing
+
+    def test_sweep_searches_each_delta_once(self, capsys, monkeypatch):
+        from ivfkit import ekeland, ivf
+
+        local = (ekeland.REFINEMENT_RESOLUTION,) * 2
+        reads = []
+        window_eval = ivf._window_eval
+
+        def counted(f, grid, window):
+            if grid.resolution == local:
+                reads.append(window)
+            return window_eval(f, grid, window)
+
+        monkeypatch.setattr(ivf, "_window_eval", counted)
+        code, report = run_json(
+            [
+                "evp", "--fn=paper-levelset", "--xbar=0.1,0.1", "--eps=0.3,0.8,0.5",
+                "--delta=1.2,2", "--box=-3:3,-3:3", "--res=61,61", "--verify-res=121,121",
+            ],
+            capsys,
+        )
+        assert code == 0 and report["verdict"] == {"all_ok": True, "cells": 6}
+        assert len(reads) == 2 * ekeland.REFINEMENT_ROUNDS
+
+    def test_hypothesis_fails_at_a_later_eps(self, capsys):
+        code, out, err = run_cli(
+            [
+                "evp", "--fn", "quadratic", "--xbar", "0.05", "--eps", "0.01,0.001",
+                "--delta", "0.5,1", "--box", "-2:2", "--res", "2001",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            '{"error": "HypothesisViolated", "message": "F(xbar)=[0.0025000000000000005,'
+            '0.005000000000000001] is not strictly within eps=0.001 of the sampled '
+            'infimum [0.0,0.0]"}\n'
+        )
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+    def test_tie_evidence_stays_bounded_as_the_grid_refines(self, tmp_path):
+        # every grid point ties with x0; today the report lists each one, so
+        # it grows tenfold with the grid: 100,191 and 1,009,195 bytes
+        sizes = []
+        for res in (2001, 20001):
+            out = tmp_path / f"evp-{res}.json"
+            assert main([
+                "evp", "--fn=constant", "--xbar=0", "--eps=0.5", "--delta=1e-9",
+                "--tol=1e-3", "--box=-1:1", f"--res={res}", f"--out={out}",
+            ]) == 0
+            sizes.append(out.stat().st_size)
+        assert abs(sizes[1] - sizes[0]) <= 2048
+
+
 class _MeshCounter:
     """Counts, for every point of each watched grid, the ``eval_expr`` calls
     whose open mesh covers it; an (N, dim) array of points is not a mesh."""

@@ -201,6 +201,16 @@ class TestVerification:
         )
         assert not verify_certificate(inp.f, moved, GRID, inp.delta, inp.tol)
 
+    def test_every_check_runs_when_the_distance_fails(self):
+        # the descent check still evaluates F(x0) when x0 is too far from
+        # xbar, so an x0 outside the domain is named, not just refused
+        inp = quadratic_input()
+        cert = evp_search(inp)
+        f = IVF(1, inp.f.lower, inp.f.upper, "boxed", domain=Box(((-1.0, 1.0),)))
+        moved = EkelandCertificate(**{**cert.__dict__, "x0": (1.5,)})
+        with pytest.raises(OutOfDomain):
+            verify_certificate(f, moved, GRID, inp.delta, inp.tol)
+
     def test_larger_delta_keeps_distance_bound(self):
         inp = quadratic_input()
         cert = evp_search(inp)

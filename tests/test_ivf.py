@@ -767,6 +767,25 @@ class TestEvaluation:
         with pytest.raises(InvalidEndpoints):
             bad((1.0,))
 
+    @pytest.mark.parametrize("call", ["infimum_over", "argmin_over", "point", "values"])
+    def test_scalar_endpoint_fields_are_rejected(self, call):
+        # fields must return one value per point; a scalar is not broadcast
+        f = IVF(1, lambda P: 1.0, lambda P: 2.0, "scalar")
+        grid = SampleGrid(Box(((0.0, 1.0),)), (5,))
+        calls = {
+            "infimum_over": (lambda: infimum_over(f, grid), 5),
+            "argmin_over": (lambda: argmin_over(f, grid, 1e-9), 5),
+            "point": (lambda: f([0.2]), 1),
+            "values": (lambda: f.values(np.array([[0.1], [0.2]])), 2),
+        }
+        evaluate, n = calls[call]
+        with pytest.raises(InvalidEndpoints) as exc:
+            evaluate()
+        assert str(exc.value) == (
+            f"'scalar': endpoint fields returned shapes () and () for {n} points, "
+            f"expected ({n},)"
+        )
+
 
 class TestLimits:
     def test_sin_lower_limit_at_origin(self):

@@ -77,7 +77,17 @@ def test_python_blocks_show_their_commented_results():
     assert checked >= 10
 
 
-@pytest.mark.parametrize("argv", _command_lines(), ids=lambda argv: argv[0])
+def _ids(lines):
+    """Each line's subcommand, numbered from its second use on."""
+    seen = {}
+    out = []
+    for argv in lines:
+        seen[argv[0]] = seen.get(argv[0], 0) + 1
+        out.append(argv[0] if seen[argv[0]] == 1 else f"{argv[0]}-{seen[argv[0]]}")
+    return out
+
+
+@pytest.mark.parametrize("argv", _command_lines(), ids=_ids(_command_lines()))
 def test_command_lines_exit_zero(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
