@@ -68,10 +68,10 @@ class DirectionalDerivative:
 
 def _checked_ladder(ladder: Sequence[float]) -> tuple[float, ...]:
     """``ladder`` as floats; raises ValueError unless it has at least two
-    rungs, decreases strictly and stays positive."""
+    rungs, decreases strictly and stays finite and positive."""
     ladder = tuple(float(v) for v in ladder)
-    if len(ladder) < 2 or ladder[-1] <= 0:
-        raise ValueError("lambda ladder needs at least two positive rungs")
+    if len(ladder) < 2 or not all(math.isfinite(v) and v > 0 for v in ladder):
+        raise ValueError("lambda ladder needs at least two finite positive rungs")
     if any(nxt >= prev for nxt, prev in zip(ladder[1:], ladder[:-1])):
         raise ValueError("lambda ladder must be strictly decreasing")
     return ladder

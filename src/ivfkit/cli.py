@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields as dataclass_fields
@@ -105,14 +106,12 @@ class RunConfig:
     timestamp: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("tol",):
+        # eps is one value for seq and a list for evp
+        for name in ("tol", "eps", "delta"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("eps", "delta"):
-            values = getattr(self, name)
-            if values is not None and any(v <= 0 for v in values):
-                raise ValueError(f"{name} values must be positive")
+            values = value if isinstance(value, tuple) else (value,)
+            if value is not None and not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(f"{name} must be finite and positive")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.horizon is not None and self.horizon < 1:

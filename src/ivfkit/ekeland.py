@@ -99,8 +99,8 @@ class EkelandInput:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.eps <= 0 or self.delta <= 0 or self.tol <= 0:
-            raise ValueError("eps, delta and tol must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.eps, self.delta, self.tol)):
+            raise ValueError("eps, delta and tol must be finite and positive")
         object.__setattr__(
             self, "xbar", tuple(float(v) for v in np.asarray(self.xbar).reshape(-1))
         )

@@ -120,6 +120,16 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Deepest nesting ``parse_expr`` accepts, both of the parser (groups --
+# parentheses, arguments, branches -- and unary minus or exponents open
+# around a point of the text) and of the tree it builds; deeper text raises
+# ParseError.  The parser recurses per level of the one, and every walk of
+# a tree (compiling, hashing, rendering) per level of the other; under
+# Python's default limit of 1000 frames the parser gave out at 164 nested
+# calls, and a tree at 328 levels.
+_MAX_DEPTH = 100
+
+
 @dataclass
 class _Token:
     kind: str
@@ -150,6 +160,23 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # groups, unary minus and exponents open
+        self.depths: dict[int, int] = {}  # id of each inner node built -> its depth
+
+    def enter(self, tok: _Token) -> None:
+        """Open one more level of nesting at ``tok``; the caller closes it."""
+        if self.nesting == _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", tok.pos)
+        self.nesting += 1
+
+    def built(self, node: ExprAST, tok: _Token, *children: ExprAST) -> ExprAST:
+        """``node``, made at ``tok`` from ``children``, once its depth is
+        within ``_MAX_DEPTH``; a child not built here is a leaf."""
+        depth = 1 + max(self.depths.get(id(c), 1) for c in children)
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", tok.pos)
+        self.depths[id(node)] = depth
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -173,30 +200,44 @@ class _Parser:
         return node
 
     def arith(self) -> ExprAST:
+        # every group -- the whole text, parentheses, arguments, branches --
+        # starts here
+        self.enter(self.peek())
         node = self.term()
         while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.term())
+            tok = self.advance()
+            right = self.term()
+            node = self.built(Binary(tok.text, node, right), tok, node, right)
+        self.nesting -= 1
         return node
 
     def term(self) -> ExprAST:
         node = self.factor()
         while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
+            tok = self.advance()
+            right = self.factor()
+            node = self.built(Binary(tok.text, node, right), tok, node, right)
         return node
 
     def factor(self) -> ExprAST:
-        if self.peek().text == "-":
+        tok = self.peek()
+        if tok.text == "-":
             self.advance()
-            return Unary("-", self.factor())
+            self.enter(tok)
+            operand = self.factor()
+            self.nesting -= 1
+            return self.built(Unary("-", operand), tok, operand)
         return self.power()
 
     def power(self) -> ExprAST:
         base = self.atom()
-        if self.peek().text == "^":
+        tok = self.peek()
+        if tok.text == "^":
             self.advance()
-            return Binary("^", base, self.factor())
+            self.enter(tok)
+            exponent = self.factor()
+            self.nesting -= 1
+            return self.built(Binary("^", base, exponent), tok, base, exponent)
         return base
 
     def atom(self) -> ExprAST:
@@ -230,7 +271,7 @@ class _Parser:
             self.expect(",")
             other = self.arith()
             self.expect(")")
-            return Piecewise(guard, then, other)
+            return self.built(Piecewise(guard, then, other), tok, guard, then, other)
         if name in _FUNCTIONS:
             self.expect("(")
             args = [self.arith()]
@@ -241,7 +282,7 @@ class _Parser:
             arity = _FUNCTIONS[name]
             if (arity == 1 and len(args) != 1) or (arity == 2 and len(args) < 2):
                 raise ParseError(f"wrong number of arguments to {name}", tok.pos)
-            return Call(name, tuple(args))
+            return self.built(Call(name, tuple(args)), tok, *args)
         m = re.fullmatch(r"x(\d+)", name)
         if m:
             idx = int(m.group(1))
@@ -260,11 +301,12 @@ class _Parser:
             )
         self.advance()
         right = self.arith()
-        return Compare(tok.text, left, right)
+        return self.built(Compare(tok.text, left, right), tok, left, right)
 
 
 def parse_expr(text: str) -> ExprAST:
-    """Parse expression text; raises :class:`ParseError` with the offset."""
+    """Parse expression text; raises :class:`ParseError` with the offset,
+    also for text nested deeper than 100 levels."""
     return _Parser(text).parse()
 
 

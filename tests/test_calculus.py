@@ -19,9 +19,7 @@ from ivfkit.errors import NonConvergent
 from ivfkit.interval import Interval, gh_dist, norm, scalar_mul
 from ivfkit.ivf import IVF
 
-
-def quadratic_pair():
-    return IVF(1, lambda P: P[:, 0] ** 2, lambda P: 2 * P[:, 0] ** 2, "quadratic")
+from reference import quadratic_pair
 
 
 def linear_pair():

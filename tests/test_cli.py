@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import reference
 from ivfkit.cli import main, run_selftest
 
 
@@ -194,19 +195,6 @@ class TestEvp:
         assert "eps" in header and "uniqueness_violations" in header
 
 
-def _per_cell(inp, searched, directions, fine):
-    """Reference sweep cell: a full search, and a full verification on
-    ``fine``, for every eps x delta cell; ``searched`` is left unused."""
-    from ivfkit.ekeland import evp_gateaux, evp_search, verify_certificate
-
-    if directions is None:
-        cert, bound = evp_search(inp), None
-    else:
-        cert, bound = evp_gateaux(inp, directions)
-    verified = None if fine is None else verify_certificate(inp.f, cert, fine, inp.delta, inp.tol)
-    return cert, bound, verified
-
-
 # sweeps of 2-3 eps x 2-3 deltas with one delta repeated, over 1-D and 2-D
 # catalog entries; the last three raise at a later cell
 SWEEPS = [
@@ -235,7 +223,7 @@ SWEEPS = [
 
 class TestEvpSweepReuse:
     """Each delta of a sweep is searched and verified once; every cell and
-    every error match a full search and verification per cell."""
+    every error match the model's search and verification of each cell."""
 
     @pytest.mark.parametrize("form", [[], ["--gateaux"], ["--format=csv"]],
                              ids=["json", "gateaux", "csv"])
@@ -245,7 +233,7 @@ class TestEvpSweepReuse:
 
         argv = ["evp", *sweep, *form]
         got = run_cli(argv, capsys)
-        monkeypatch.setattr(cli, "_sweep_cell", _per_cell)
+        monkeypatch.setattr(cli, "_sweep_cell", reference.sweep_cell)
         want = run_cli(argv, capsys)
         assert got == want
         assert want[1] or want[2]  # a report or an error line, not nothing
@@ -427,13 +415,31 @@ MALFORMED = [
     (["evp", "--fn", "quadratic"], 2),
     (["nosuchcommand"], 2),
     (["--config", "/nonexistent/x.cfg", "eval", "--at", "0"], 2),
+    # numeric options must be finite and positive
+    (["argmin", "--fn", "quadratic", "--box=-1:1", "--res", "11", "--tol", "nan"], 2),
+    (["probe", "--fn", "quadratic", "--at", "0", "--tol", "nan"], 2),
+    (["probe", "--fn", "quadratic", "--at", "0", "--deltas", "0.5,nan"], 2),
+    (["derivative", "--fn", "quadratic", "--at", "1", "--dir", "1", "--ladder", "0.1,nan"], 2),
+    (["evp", "--fn=quadratic", "--xbar=0.05", "--eps=nan", "--delta=1", "--box=-2:2", "--res=101"], 2),
+    (["evp", "--fn=quadratic", "--xbar=0.05", "--eps=0.1", "--delta=1", "--box=-2:2", "--res=101",
+      "--tol=nan"], 2),
+    (["evp", "--fn=quadratic", "--xbar=0.05", "--eps=0.1", "--delta=inf", "--box=-2:2", "--res=101"], 2),
+    (["seq", "--label", "paper-seq-harmonic", "--eps", "nan"], 2),
     (["eval", "--fn", "quadratic", "--at", "1,2"], 1),
     (["eval", "--fn", "no-such-label", "--at", "0"], 1),
     (["eval", "--lower", "x1 +", "--upper", "x1", "--at", "0"], 1),
+    # expressions nested too deep to parse
+    (["eval", "--lower", "(" * 200 + "x1" + ")" * 200, "--upper", "x1", "--at", "0"], 1),
+    (["eval", "--lower", "sin(" * 164 + "x1" + ")" * 164, "--upper", "x1", "--at", "0"], 1),
+    (["eval", "--lower", "+".join(["x1"] * 800), "--upper", "x1", "--at", "0"], 1),
 ]
 
 
-@pytest.mark.parametrize("argv, code", MALFORMED, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def _argv_id(v):
+    return " ".join(a if len(a) <= 40 else a[:20] + "..." for a in v) if isinstance(v, list) else str(v)
+
+
+@pytest.mark.parametrize("argv, code", MALFORMED, ids=_argv_id)
 def test_malformed_input_exits_with_one_line_of_json(argv, code):
     import os
     import subprocess
@@ -488,6 +494,10 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 
 
 class TestSeq:
+    def test_eps_option(self, capsys):
+        code, report = run_json(["seq", "--label", "paper-seq-harmonic", "--eps", "0.01"], capsys)
+        assert code == 0 and report["inputs"]["eps"] == 0.01
+
     def test_harmonic(self, capsys):
         code, report = run_json(["seq", "--label", "paper-seq-harmonic"], capsys)
         assert code == 0

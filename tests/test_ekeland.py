@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,24 +21,21 @@ from ivfkit.errors import (
     InvalidEndpoints,
     OutOfDomain,
 )
-from ivfkit.interval import Interval, gh_dist, gh_sub, nprec, prec, preceq, scalar_mul
+from ivfkit.interval import Interval, gh_dist, gh_sub, nprec, preceq, scalar_mul
 from ivfkit.ivf import (
     IVF,
     Box,
     SampleGrid,
-    _grid_values,
     add_ivf,
-    argmin_over,
     indicator,
     infimum_over,
 )
 
+import reference
+from reference import canonical, outcome, quadratic_pair
+
 BOX = Box(((-2.0, 2.0),))
 GRID = SampleGrid(BOX, (4001,))
-
-
-def quadratic_pair():
-    return IVF(1, lambda P: P[:, 0] ** 2, lambda P: 2 * P[:, 0] ** 2, "quadratic")
 
 
 def constant_ivf(lo=0.0, hi=0.0):
@@ -254,85 +252,15 @@ class TestLevelBoundLemma:
         assert level_bound_lemma_check((0.0,), Interval(3, 3), grid)
 
 
-# -- windowed scan and stage 1 against full-grid references -------------------
+# -- windowed scan, stage 1 and refinement against the model --------------------
 
 
-def full_grid_scan(f, x0, delta, grid, tie_tol, pts=None):
-    """The strict-minimality scan over every grid point, as it was before the
-    scan was restricted to a window: the reference for the windowed scan."""
-    v0 = f(x0)
-    pts = grid.points() if pts is None else pts
-    lo, hi = _grid_values(f, grid)
-    r = np.linalg.norm(pts - x0[None, :], axis=1)
-    off = r > 0
-    plo = lo + delta * r
-    phi = hi + delta * r
-    dominated = (v0.lo <= plo) & (v0.hi <= phi) & ((v0.lo < plo) | (v0.hi < phi))
-    bad = off & ~dominated
-    with np.errstate(all="ignore"):
-        gap = np.maximum(np.abs(plo - v0.lo), np.abs(phi - v0.hi))
-    tie = off & dominated & (gap <= tie_tol)
-    return int(off.sum()), pts[bad], pts[tie]
-
-
-def assert_same_scan(got, want):
-    checked, violations, ties = got
-    assert checked == want[0]
-    for points, ref in ((violations, want[1]), (ties, want[2])):
-        assert len(points) == len(ref)
-        assert all(type(p) is tuple for p in points)
-        assert np.array_equal(np.array(points, dtype=float).reshape(ref.shape), ref)
-
-
-def full_grid_stage1(f, grid, xbar, value_xbar, delta, tol, pts):
-    """Stage 1 of the search over every grid point plus ``xbar``."""
-    from ivfkit.ivf import _gh_gap
-
-    lo, hi = _grid_values(f, grid)
-    pool_lo = np.append(lo, value_xbar.lo)
-    pool_hi = np.append(hi, value_xbar.hi)
-    shift = delta * np.append(np.linalg.norm(pts - xbar[None, :], axis=1), 0.0)
-    cone_lo, cone_hi = pool_lo + shift, pool_hi + shift
-    near = np.flatnonzero(
-        _gh_gap(cone_lo, cone_hi, float(cone_lo.min()), float(cone_hi.min())) <= tol
-    )
-    if len(near) == 0:
-        return None
-    return np.vstack([pts, xbar[None, :]])[near], pool_lo[near], pool_hi[near]
-
-
-def stage1_witness(inp):
-    """The witness of stage 1 of the search, before refinement."""
-    from ivfkit.ekeland import _pick_witness, _stage1_near_set
-
-    xbar = np.asarray(inp.xbar, dtype=float)
-    near, lo, hi = _stage1_near_set(
-        inp.f, inp.grid, xbar, inp.f(xbar), infimum_over(inp.f, inp.grid), inp.delta, inp.tol
-    )
-    return near[_pick_witness(near, lo, hi, xbar, inp.tol)]
-
-
-def cone_argmin_refinement(inp, x0):
-    """The refinement evaluating the cone ``perturbed(F, delta, xbar)`` as a
-    function of its own: its argmin over each local grid, the witness among
-    those points from values of ``F`` at them, and a move when the cone at the
-    witness strictly dominates into the cone at ``x0``."""
-    from ivfkit.ekeland import REFINEMENT_RESOLUTION, REFINEMENT_ROUNDS, _pick_witness
-
-    f = inp.f
-    xbar = np.asarray(inp.xbar, dtype=float)
-    cone = perturbed(f, inp.delta, xbar)
-    spacing = inp.grid.spacing()
-    for _ in range(REFINEMENT_ROUNDS):
-        local = Box(tuple((float(c - s), float(c + s)) for c, s in zip(x0, spacing)))
-        local_grid = SampleGrid(local.intersect(inp.box), (REFINEMENT_RESOLUTION,) * f.dim)
-        local_c = argmin_over(cone, local_grid, inp.tol)
-        if len(local_c):
-            candidate = local_c[_pick_witness(local_c, *f.values(local_c), xbar, inp.tol)]
-            if prec(cone(candidate), cone(x0)):
-                x0 = candidate
-        spacing = spacing / 10.0
-    return x0
+def _as_arrays(scan, dim):
+    """A scan's count, and its violations and ties, lists of one tuple per
+    point, as (n, dim) arrays, the form of the model's scan."""
+    checked, violations, ties = scan
+    assert all(type(p) is tuple for p in violations + ties)
+    return checked, np.array(violations).reshape(-1, dim), np.array(ties).reshape(-1, dim)
 
 
 def minus_inf_on_part():
@@ -359,10 +287,10 @@ WINDOW_DELTAS = (1e-6, 0.01, 0.5, 2.0, 100.0)
 WINDOW_TOLS = (1e-12, 1e-9, 1e-3, 0.5)
 
 
-def _window_centers(f, grid, pts, rng):
-    """Two grid points (the grid argmin of the lower endpoint and a random
-    one) and the same two moved off the grid by a fraction of the spacing."""
-    lo, _ = _grid_values(f, grid)
+def _window_centers(grid, pts, lo, rng):
+    """Two grid points (the grid argmin of the lower endpoint values ``lo``
+    and a random one) and the same two moved off the grid by a fraction of
+    the spacing."""
     on = [pts[int(np.argmin(lo))], pts[int(rng.integers(grid.size))]]
     off = [p + grid.spacing() * rng.uniform(-0.5, 0.5, p.shape) for p in on]
     return on + off
@@ -378,13 +306,13 @@ def test_windowed_scan_matches_full_grid_scan(label):
     for res in WINDOW_RESOLUTIONS:
         grid = SampleGrid(box, (res,) * f.dim)
         pts = grid.points()
-        for x0 in _window_centers(f, grid, pts, rng):
+        lo, hi = reference.grid_values(f, grid)
+        for x0 in _window_centers(grid, pts, lo, rng):
+            v0 = f(x0)
             for delta in WINDOW_DELTAS:
                 for tol in WINDOW_TOLS:
-                    assert_same_scan(
-                        _strict_minimality_scan(f, x0, f(x0), delta, grid, tol),
-                        full_grid_scan(f, x0, delta, grid, tol, pts),
-                    )
+                    got = _as_arrays(_strict_minimality_scan(f, x0, v0, delta, grid, tol), f.dim)
+                    assert canonical(got) == canonical(reference.scan(pts, lo, hi, x0, v0, delta, tol))
                     cases += 1
     assert cases == len(WINDOW_RESOLUTIONS) * 4 * len(WINDOW_DELTAS) * len(WINDOW_TOLS)
 
@@ -395,26 +323,30 @@ def test_windowed_stage1_matches_full_grid(label):
 
     f, box = _window_functions()[label]
     rng = np.random.default_rng(12)
+    found = Counter()
     for res in WINDOW_RESOLUTIONS:
         grid = SampleGrid(box, (res,) * f.dim)
         pts = grid.points()
+        lo, hi = reference.grid_values(f, grid)
         inf_f = infimum_over(f, grid)
-        for xbar in _window_centers(f, grid, pts, rng):
+        for xbar in _window_centers(grid, pts, lo, rng):
             value_xbar = f(xbar)
             for delta in WINDOW_DELTAS:
                 for tol in WINDOW_TOLS:
-                    want = full_grid_stage1(f, grid, xbar, value_xbar, delta, tol, pts)
-                    if want is None:
-                        with pytest.raises(EmptyArgmin):
-                            _stage1_near_set(f, grid, xbar, value_xbar, inf_f, delta, tol)
-                        continue
-                    got = _stage1_near_set(f, grid, xbar, value_xbar, inf_f, delta, tol)
-                    for g, w in zip(got, want):
-                        assert np.array_equal(g, w), (res, xbar, delta, tol)
-                    assert np.array_equal(
-                        got[0][_pick_witness(*got, xbar, tol)],
-                        want[0][_pick_witness(*want, xbar, tol)],
-                    )
+
+                    def library():
+                        near = _stage1_near_set(f, grid, xbar, value_xbar, inf_f, delta, tol)
+                        return near + (near[0][_pick_witness(*near, xbar, tol)],)
+
+                    def model():
+                        near = reference.stage1(pts, lo, hi, xbar, value_xbar, delta, tol)
+                        return near + (near[0][reference.pick_witness(*near, xbar, tol)],)
+
+                    got = outcome(library)
+                    assert got == outcome(model), (res, xbar, delta, tol)
+                    found[got[0]] += 1
+    cases = len(WINDOW_RESOLUTIONS) * 4 * len(WINDOW_DELTAS) * len(WINDOW_TOLS)
+    assert found["ok"] + found[EmptyArgmin] == cases
 
 
 def test_window_falls_back_to_the_whole_grid():
@@ -452,9 +384,10 @@ def test_random_scans_match_full_grid_scan():
             x0 = x0 + rng.normal(0.0, 0.3, dim)
         delta = float(10 ** rng.uniform(-3, 2))
         tol = float(10 ** rng.uniform(-12, 0))
-        assert_same_scan(
-            _strict_minimality_scan(f, x0, f(x0), delta, grid, tol), full_grid_scan(f, x0, delta, grid, tol)
-        )
+        v0 = f(x0)
+        got = _as_arrays(_strict_minimality_scan(f, x0, v0, delta, grid, tol), dim)
+        want = reference.strict_minimality_scan(f, x0, v0, delta, grid, tol)
+        assert canonical(got) == canonical(want)
 
 
 def test_ties_on_the_ball_boundary_survive_rounding():
@@ -483,27 +416,24 @@ def test_ties_on_the_ball_boundary_survive_rounding():
         if rng.random() < 0.3:
             tol = float(np.nextafter(tol, rng.choice([-math.inf, math.inf])))
         if tol > 0:
-            assert_same_scan(
-                _strict_minimality_scan(f, x0, f(x0), delta, grid, tol),
-                full_grid_scan(f, x0, delta, grid, tol),
-            )
-
-
-# -- refinement through the grid memo ------------------------------------------
+            v0 = f(x0)
+            got = _as_arrays(_strict_minimality_scan(f, x0, v0, delta, grid, tol), dim)
+            want = reference.strict_minimality_scan(f, x0, v0, delta, grid, tol)
+            assert canonical(got) == canonical(want)
 
 
 @pytest.mark.parametrize("label", WINDOW_LABELS)
 def test_refinement_matches_the_cone_argmin_reference(label):
-    # the search reads each local grid's values of F from its memo and adds
-    # the distances; the reference evaluates the cone as an IVF of its own
+    # the search reads each local grid through the one evaluator and adds
+    # the distances; the model reads the cone from the local grid's points
     f, box = _window_functions()[label]
     rng = np.random.default_rng(15)
-    compared = 0
+    found = Counter()
     for res in (21, 41):
         grid = SampleGrid(box, (res,) * f.dim)
         pts = grid.points()
         inf_f = infimum_over(f, grid)
-        lo, hi = _grid_values(f, grid)
+        lo, hi = reference.grid_values(f, grid)
         finite = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi))
         if not inf_f.is_finite:
             inp = EkelandInput(
@@ -525,17 +455,10 @@ def test_refinement_matches_the_cone_argmin_reference(label):
             inp = EkelandInput(
                 f=f, xbar=tuple(xbar), eps=eps, delta=delta, box=box, grid=grid, tol=tol
             )
-            try:
-                x0 = stage1_witness(inp)
-            except EmptyArgmin:
-                with pytest.raises(EmptyArgmin):
-                    evp_search(inp)
-                continue
-            want = cone_argmin_refinement(inp, x0)
-            got = evp_search(inp).x0
-            assert np.array(got).tobytes() == want.tobytes(), (res, tuple(xbar), delta, tol)
-            compared += 1
-    assert compared >= 6
+            got = outcome(lambda: evp_search(inp))
+            assert got == outcome(lambda: reference.evp_search(inp)), (res, tuple(xbar), delta, tol)
+            found[got[0]] += 1
+    assert found["ok"] >= 6 and set(found) <= {"ok", EmptyArgmin}
 
 
 def counted_bowl(calls):
@@ -602,12 +525,10 @@ def test_refinement_candidate_outside_the_domain_raises(field, grid_hi, xbar, de
     inp = EkelandInput(
         f=f, xbar=(xbar,), eps=1.5, delta=delta, box=Box(((-2.0, 2.0),)), grid=grid, tol=tol
     )
-    with pytest.raises(OutOfDomain) as want:
-        cone_argmin_refinement(inp, stage1_witness(inp))
-    with pytest.raises(OutOfDomain) as got:
-        evp_search(inp)
-    assert str(got.value) == str(want.value)
-    assert f"outside the domain of 'descent+{delta:g}*dist'" in str(got.value)
+    got = outcome(lambda: evp_search(inp))
+    assert got == outcome(lambda: reference.evp_search(inp))
+    assert got[0] is OutOfDomain
+    assert got[1].endswith(f"outside the domain of 'descent+{delta:g}*dist'")
 
 
 def nan_gap_functions():
@@ -627,10 +548,8 @@ def test_nan_on_a_local_grid_names_the_same_point(route):
     f = nan_gap_functions()[route == "mesh"]
     grid = SampleGrid(BOX, (11,))
     inp = EkelandInput(f=f, xbar=(0.0,), eps=0.1, delta=1.0, box=BOX, grid=grid)
-    with pytest.raises(InvalidEndpoints) as want:
-        cone_argmin_refinement(inp, stage1_witness(inp))
-    with pytest.raises(InvalidEndpoints) as got:
-        evp_search(inp)
-    # the reference names the cone 'nan-gap+1*dist'; the search names F itself
-    assert str(want.value).startswith("'nan-gap+1*dist' produced NaN at ")
-    assert str(got.value) == "'nan-gap' produced NaN at " + str(want.value).split(" at ")[1]
+    got = outcome(lambda: evp_search(inp))
+    assert got == outcome(lambda: reference.evp_search(inp))
+    # the NaN lies off the search grid, on the first local grid
+    assert got[0] is InvalidEndpoints
+    assert got[1].startswith("'nan-gap' produced NaN at [0.0")

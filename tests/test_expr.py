@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from reference import grid_values, outcome, same_bits
 
 from ivfkit.errors import ParseError, UnknownIdentifier
 from ivfkit.expr import (
@@ -64,6 +65,31 @@ class TestParsing:
 
     def test_inf_constant(self):
         assert parse_expr("-inf") == Unary("-", Num(math.inf))
+
+    # text of each shape nested n levels deep, and the offset named one
+    # level deeper than the parser accepts
+    NESTED = {
+        "parentheses": (lambda n: "(" * (n - 1) + "x1" + ")" * (n - 1), 100),
+        "calls": (lambda n: "sin(" * (n - 1) + "x1" + ")" * (n - 1), 400),
+        "sums": (lambda n: "+".join(["x1"] * n), 299),
+        "products": (lambda n: "*".join(["x1"] * n), 299),
+        "powers": (lambda n: "^".join(["x1"] * n), 299),
+        "negations": (lambda n: "-" * (n - 1) + "x1", 99),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_nesting_is_bounded(self, shape):
+        # 100 levels parse, compile, hash and render; deeper text is a
+        # ParseError at an offset, never a RecursionError
+        text, offset = self.NESTED[shape]
+        node = parse_expr(text(100))
+        assert eval_expr(node, np.full((1, 1), 0.5)).shape == (1,)
+        assert hash(node) == hash(parse_expr(text(100))) and ast_to_text(node)
+        for n in (101, 2000):
+            with pytest.raises(ParseError) as err:
+                parse_expr(text(n))
+            assert err.value.position == offset
+            assert str(err.value) == f"expression nested deeper than 100 levels at offset {offset}"
 
 
 class TestEvaluation:
@@ -196,11 +222,6 @@ def _expression_entries():
     return sorted(e.label for e in catalog() if e.ivf.joint is not None)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestJoint:
     """One pass over a tuple of nodes equals one ``eval_expr`` call per node."""
 
@@ -223,7 +244,7 @@ class TestJoint:
             pts = pts if where == "ball-513" else pts[5:6]
         lo, hi = f.joint(pts)
         # bit for bit, which np.array_equal on the uint64 views checks
-        assert _same_bits(lo, f.lower(pts)) and _same_bits(hi, f.upper(pts))
+        assert same_bits(lo, f.lower(pts)) and same_bits(hi, f.upper(pts))
         assert lo.shape == hi.shape == (len(pts),)
 
     @given(st.deferred(lambda: st.tuples(expr_trees(), expr_trees())))
@@ -235,9 +256,9 @@ class TestJoint:
                 joint = eval_expr(pair, pts)
                 assert len(joint) == 2
                 for node, got in zip(pair, joint):
-                    assert _same_bits(got, eval_expr(node, pts))
+                    assert same_bits(got, eval_expr(node, pts))
                     # the bits do not depend on how many points there are
-                    assert _same_bits(got[: len(few)], eval_expr(node, few))
+                    assert same_bits(got[: len(few)], eval_expr(node, few))
 
     def test_shared_subtree_is_computed_once(self, monkeypatch):
         from ivfkit import expr
@@ -386,9 +407,9 @@ class TestMesh:
             pts = grid.points()
             want = eval_expr(node, pts)
             for got, ref in zip(_on_mesh(node, grid), want):
-                assert _same_bits(got, ref), (label, res)
+                assert same_bits(got, ref), (label, res)
             for endpoint, ref in zip(node, want):
-                assert _same_bits(_on_mesh(endpoint, grid)[0], ref), (label, res)
+                assert same_bits(_on_mesh(endpoint, grid)[0], ref), (label, res)
 
     @pytest.mark.parametrize("text", MESH_CASES)
     def test_named_cases_match_the_points(self, text):
@@ -399,7 +420,7 @@ class TestMesh:
             grid = _mesh_grid(res)
             with np.errstate(all="ignore"):
                 (got,) = _on_mesh(node, grid)
-                assert _same_bits(got, eval_expr(node, grid.points())), res
+                assert same_bits(got, eval_expr(node, grid.points())), res
             # each value lives on the axes it depends on
             value = eval_expr(node, np.ix_(*grid.axes()))
             assert value.shape == _mesh_shape(node, res)
@@ -412,30 +433,19 @@ class TestMesh:
                 want = eval_expr(pair, grid.points())
                 values = eval_expr(pair, np.ix_(*grid.axes()))
                 for node, value, got, ref in zip(pair, values, _on_mesh(pair, grid), want):
-                    assert _same_bits(got, ref)
+                    assert same_bits(got, ref)
                     assert value.shape == _mesh_shape(node, res)
 
     @given(st.deferred(lambda: st.tuples(expr_trees(), expr_trees())))
     def test_random_functions_take_either_route_alike(self, pair):
-        # the same bits, or the same error with the same message, on both
-        # routes of the grid memo
+        # the same bits, or the same error with the same message, as the
+        # model's separate endpoint calls on the grid's points
         from ivfkit.catalog import ivf_from_expressions
         from ivfkit.ivf import _grid_values
 
         f = ivf_from_expressions(*(ast_to_text(node) for node in pair), label="pair", dim=3)
         grid = _mesh_grid((4, 3, 5))
-        outcomes = []
-        for evaluate in (lambda: _grid_values(f, grid), lambda: f.values(grid.points())):
-            try:
-                outcomes.append(("values", evaluate()))
-            except Exception as exc:  # compared below
-                outcomes.append((type(exc), str(exc)))
-        (kind, mesh), (want_kind, points) = outcomes
-        assert kind == want_kind
-        if kind == "values":
-            assert all(_same_bits(a, b) for a, b in zip(mesh, points))
-        else:
-            assert mesh == points
+        assert outcome(lambda: _grid_values(f, grid)) == outcome(lambda: grid_values(f, grid))
 
     def test_subtrees_run_on_their_axes(self, monkeypatch):
         from ivfkit import expr
@@ -479,17 +489,16 @@ class TestMesh:
         assert got.tolist() == [[13.0, 14.0], [23.0, 24.0]]
 
 
-# the tokenizer only emits non-negative literals (unary minus wraps negatives),
-# so parser-reachable trees never hold a negative Num
-EXPR_LEAVES = st.one_of(
-    st.builds(Num, st.floats(0, 100).map(float)),
-    st.builds(Var, st.integers(1, 3)),
-)
-
-
-def expr_trees():
+def expr_trees(dim=3):
+    """Expression trees in the variables ``x1`` to ``x{dim}``.  The
+    tokenizer only emits non-negative literals (unary minus wraps
+    negatives), so parser-reachable trees never hold a negative Num."""
+    leaves = st.one_of(
+        st.builds(Num, st.floats(0, 100).map(float)),
+        st.builds(Var, st.integers(1, dim)),
+    )
     return st.recursive(
-        EXPR_LEAVES,
+        leaves,
         lambda children: st.one_of(
             st.builds(Unary, st.just("-"), children),
             st.builds(Binary, st.sampled_from("+-*/^"), children, children),

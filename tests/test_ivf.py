@@ -49,11 +49,10 @@ from ivfkit.ivf import (
     upper_limit,
 )
 
+import reference
+from reference import outcome, quadratic_pair, same_bits
+
 PARAMS = ProbeParams()
-
-
-def quadratic_pair():
-    return IVF(1, lambda P: P[:, 0] ** 2, lambda P: 2 * P[:, 0] ** 2, "quadratic")
 
 
 def constant_ivf(lo=1.0, hi=2.0, dim=1):
@@ -238,8 +237,7 @@ class TestBoxAndGrid:
         grid = SampleGrid(box, res)
         pts = grid.points()
         center = np.linspace(0.3, -0.7, len(res))
-        ref = np.linalg.norm(pts - center[None, :], axis=1)
-        assert np.array_equal(_grid_distances(grid, center), ref)
+        assert same_bits(_grid_distances(grid, center), reference.distances(pts, center))
         flat = np.array([0, grid.size - 1, grid.size // 2, 1])
         assert np.array_equal(_grid_points_at(grid, flat), pts[flat])
         assert _grid_points_at(grid, np.arange(0)).shape == (0, len(res))
@@ -254,7 +252,7 @@ class TestBoxAndGrid:
 
     @pytest.mark.parametrize("res", [(9,), (7, 5), (4, 5, 3), (40, 33)])
     def test_window_holds_every_point_of_the_ball(self, res):
-        # radii taken from the grid's own distances put points exactly on the
+        # radii taken from the model's distances put points exactly on the
         # ball's boundary; the window must hold each point with r <= radius
         box = Box(tuple((-1.5 + 0.1 * d, 2.0 - 0.3 * d) for d in range(len(res))))
         grid = SampleGrid(box, res)
@@ -262,7 +260,7 @@ class TestBoxAndGrid:
         rng = np.random.default_rng(len(res))
         for _ in range(50):
             center = pts[rng.integers(grid.size)] + rng.normal(0.0, 0.2, len(res)) * rng.integers(2)
-            r = _grid_distances(grid, center)
+            r = reference.distances(pts, center)
             radius = float(r[rng.integers(grid.size)]) * rng.choice([1.0, 0.5, 1.5])
             window = _grid_window(grid, center, radius)
             inside = np.zeros(res, dtype=bool)
@@ -301,17 +299,6 @@ def _route_of(f, grid, monkeypatch):
     return "points" if calls else "mesh"
 
 
-def _outcome(evaluate):
-    try:
-        return "values", evaluate()
-    except Exception as exc:  # compared by the caller
-        return type(exc), str(exc)
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def _ultimate_base(a):
     while a.base is not None:
         a = a.base
@@ -334,9 +321,8 @@ class TestMeshRoute:
         for n in (2, 7, 8, 251):
             grid = SampleGrid(entry.box, (n,) * entry.ivf.dim)
             assert _route_of(entry.ivf, grid, monkeypatch) == "mesh"
-            got = _grid_values(entry.ivf, grid)
-            want = entry.ivf.values(grid.points())
-            assert all(_same_bits(a, b) for a, b in zip(got, want)), (label, n)
+            got = outcome(lambda: _grid_values(entry.ivf, grid))
+            assert got == outcome(lambda: reference.grid_values(entry.ivf, grid)), (label, n)
 
     @pytest.mark.parametrize("texts", [
         ("x1", "exp(x1) + x2^2 + x3"), ("min(x1, x2, x3)", "max(x1, x2, x3)"),
@@ -349,8 +335,7 @@ class TestMeshRoute:
 
         f = ivf_from_expressions(*texts, label="solid", dim=3)
         grid = SampleGrid(Box(((-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5))), res)
-        got = _grid_values(f, grid)
-        assert all(_same_bits(a, b) for a, b in zip(got, f.values(grid.points())))
+        assert outcome(lambda: _grid_values(f, grid)) == outcome(lambda: reference.grid_values(f, grid))
 
     @pytest.mark.parametrize("texts, dim, res, error", [
         # dimension mismatch
@@ -371,9 +356,9 @@ class TestMeshRoute:
 
         f = ivf_from_expressions(*texts, label="cli-expr", dim=dim)
         bounds = ((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0))[: len(res)]
-        mesh = _outcome(lambda: _grid_values(f, SampleGrid(Box(bounds), res)))
-        points = _outcome(lambda: f.values(SampleGrid(Box(bounds), res).points()))
-        assert mesh == points and mesh[0] is error
+        mesh = outcome(lambda: _grid_values(f, SampleGrid(Box(bounds), res)))
+        assert mesh == outcome(lambda: reference.grid_values(f, SampleGrid(Box(bounds), res)))
+        assert mesh[0] is error
         if texts == ("x1*0+1", "x2/x2"):
             assert mesh[1] == "'cli-expr' produced NaN at [-1.0, 0.0]"
 
@@ -390,7 +375,7 @@ class TestMeshRoute:
     ])
     def test_infinite_and_reversed_endpoints(self, lower, upper, lo_field, hi_field, error):
         # an expression pair and a lambda pair, on both routes of the grid
-        # memo and through IVF.values
+        # memo, through IVF.values and through the model
         from ivfkit.catalog import ivf_from_expressions
 
         box = Box(((-1.0, 1.0),))
@@ -399,16 +384,12 @@ class TestMeshRoute:
             ivf_from_expressions(lower, upper, label="pair", dim=1),
             IVF(1, lambda P: lo_field(P[:, 0]), lambda P: hi_field(P[:, 0]), "pair"),
         ]
+        want = outcome(lambda: (lo_field(x), hi_field(x))) if error is None else error
         for f in pairs:
             for evaluate in (lambda: _grid_values(f, SampleGrid(box, (5,))),
-                             lambda: f.values(SampleGrid(box, (5,)).points())):
-                kind, got = _outcome(evaluate)
-                if error is None:
-                    assert kind == "values"
-                    assert np.array_equal(got[0], lo_field(x))
-                    assert np.array_equal(got[1], hi_field(x))
-                else:
-                    assert (kind, got) == error
+                             lambda: f.values(SampleGrid(box, (5,)).points()),
+                             lambda: reference.grid_values(f, SampleGrid(box, (5,)))):
+                assert outcome(evaluate) == want
 
     @pytest.mark.parametrize("texts", [
         ("x1", "exp(x1) + x2^2"), ("x1^2 + x2", "2 * x1^2 + x2"), ("1", "2"),
@@ -456,7 +437,7 @@ class TestMeshRoute:
             assert _route_of(g, grid, monkeypatch) == "points", g.label
         # the routes agree where both apply
         rerouted = dataclasses.replace(f, joint=lambda P: f.joint(P))
-        assert all(_same_bits(a, b) for a, b in zip(_grid_values(rerouted, grid), _grid_values(f, grid)))
+        assert all(same_bits(a, b) for a, b in zip(_grid_values(rerouted, grid), _grid_values(f, grid)))
         # a 2-D entry from the catalog on the grids of an evp sweep
         entry = get_function("paper-levelset")
         assert _route_of(entry.ivf, SampleGrid(entry.box, (251, 251)), monkeypatch) == "mesh"
@@ -467,10 +448,6 @@ def _expression_labels():
     from ivfkit.expr import ExprField
 
     return sorted(e.label for e in catalog() if isinstance(e.ivf.joint, ExprField))
-
-
-def _bits(inf):
-    return np.array([inf.lo, inf.hi]).tobytes()
 
 
 def _windows(grid):
@@ -490,25 +467,32 @@ def _windows(grid):
     ]
 
 
-def _slab_route_matches_the_full_mesh(f, grid_of, reference=_grid_values):
-    """Minima and window values of ``f`` on a fresh grid from ``grid_of()``
-    against ``reference(f, grid)`` on another fresh one, by default its
-    values as one window, bit for bit.  On a grid of more than one slab the
+def _slab_reads_match_the_model(f, grid_of):
+    """Every read of ``f`` on a fresh grid from ``grid_of()`` -- its minima,
+    properness, windows, values, and minima again -- gives the model's bits
+    on other fresh ones, or its error; returns the model's minima.  No read
+    asks for the grid's points, and on a grid of more than one slab the
     memo holds no values until a window of more than one slab is read."""
     import ivfkit.ivf as ivf
 
-    want_lo, want_hi = reference(f, grid_of())
-    want = Interval(float(want_lo.min()), float(want_hi.min()))
     grid = grid_of()
-    built = grid.size <= ivf._SLAB_POINTS
-    assert _bits(infimum_over(f, grid)) == _bits(want)
-    for window in _windows(grid):
-        built = built or math.prod(w.stop - w.start for w in window) > ivf._SLAB_POINTS
-        lo, hi = _window_grid_values(f, grid, window)
-        assert _same_bits(lo, _window_values(grid, want_lo, window)), window
-        assert _same_bits(hi, _window_values(grid, want_hi, window)), window
-        assert (_memo_hit(f, grid)[1] is not None) == built, window
-    assert _bits(infimum_over(f, grid)) == _bits(want)
+    windows = _windows(grid)
+    want = [outcome(lambda: reference.infimum_over(f, grid_of())),
+            outcome(lambda: reference.is_proper_probe(f, grid_of()))]
+    want += [outcome(lambda: reference.window_values(f, grid_of(), w)) for w in windows]
+    want += [outcome(lambda: reference.grid_values(f, grid_of())), want[0]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SampleGrid, "points", None)
+        got = [outcome(lambda: infimum_over(f, grid)), outcome(lambda: is_proper_probe(f, grid))]
+        built = grid.size <= ivf._SLAB_POINTS
+        for window in windows:
+            got.append(outcome(lambda: _window_grid_values(f, grid, window)))
+            built = built or math.prod(w.stop - w.start for w in window) > ivf._SLAB_POINTS
+            if got[0][0] == "ok":
+                assert (_memo_hit(f, grid)[1] is not None) == built, window
+        got += [outcome(lambda: _grid_values(f, grid)), outcome(lambda: infimum_over(f, grid))]
+    assert got == want
+    return want[0]
 
 
 # (resolution, slab points): 2, odd and even points per axis; slabs of one
@@ -520,20 +504,8 @@ SLABBED_GRIDS = [
 ]
 
 
-def _errors_match_the_points(f, res, error):
-    """Every reader of ``f`` on fresh grids of resolution ``res`` fails as
-    ``IVF.values`` does on the grid's points, with ``error``; returns that
-    outcome."""
-    box = Box(((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0))[: len(res)])
-    want = _outcome(lambda: f.values(SampleGrid(box, res).points()))
-    assert want[0] is error
-    assert _outcome(lambda: _grid_values(f, SampleGrid(box, res))) == want
-    assert _outcome(lambda: infimum_over(f, SampleGrid(box, res))) == want
-    assert _outcome(lambda: is_proper_probe(f, SampleGrid(box, res))) == want
-    # a window away from the bad point names the grid's first bad point too
-    window = tuple(slice(0, 1) for _ in res)
-    assert _outcome(lambda: _window_grid_values(f, SampleGrid(box, res), window)) == want
-    return want
+def _error_box(res):
+    return Box(((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0))[: len(res)])
 
 
 # (texts, dim, resolution, slab points, error) of a grid evaluation that fails
@@ -587,9 +559,7 @@ class TestSlabs:
             with monkeypatch.context() as mp:
                 if slab is not None:
                     mp.setattr(ivf, "_SLAB_POINTS", slab)
-                # no reader here asks for the grid's points
-                mp.setattr(SampleGrid, "points", None)
-                _slab_route_matches_the_full_mesh(entry.ivf, lambda: SampleGrid(entry.box, res))
+                _slab_reads_match_the_model(entry.ivf, lambda: SampleGrid(entry.box, res))
 
     @pytest.mark.parametrize("texts", [
         ("x1", "exp(x1) + x2^2 + x3"), ("min(x1, x2, x3)", "max(x1, x2, x3)"),
@@ -605,7 +575,7 @@ class TestSlabs:
         for res, slab in SLABBED_GRIDS:
             if len(res) == 3:
                 monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
-                _slab_route_matches_the_full_mesh(f, lambda: SampleGrid(box, res))
+                _slab_reads_match_the_model(f, lambda: SampleGrid(box, res))
 
     def test_random_pairs_match_the_full_mesh(self):
         from hypothesis import given, settings, strategies as st
@@ -624,15 +594,7 @@ class TestSlabs:
             f = ivf_from_expressions(*(ast_to_text(n) for n in pair), label="pair", dim=3)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ivf, "_SLAB_POINTS", slab)
-                grid_of = lambda: SampleGrid(box, (4, 3, 5))  # noqa: E731
-                kind, _ = _outcome(lambda: f.values(grid_of().points()))
-                if kind == "values":
-                    _slab_route_matches_the_full_mesh(f, grid_of)
-                else:
-                    want = _outcome(lambda: f.values(grid_of().points()))
-                    assert _outcome(lambda: infimum_over(f, grid_of())) == want
-                    window = tuple(slice(0, 1) for _ in range(3))
-                    assert _outcome(lambda: _window_grid_values(f, grid_of(), window)) == want
+                _slab_reads_match_the_model(f, lambda: SampleGrid(box, (4, 3, 5)))
 
         check()
 
@@ -643,7 +605,8 @@ class TestSlabs:
 
         monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
         f = ivf_from_expressions(*texts, label="cli-expr", dim=dim)
-        want = _errors_match_the_points(f, res, error)
+        want = _slab_reads_match_the_model(f, lambda: SampleGrid(_error_box(res), res))
+        assert want[0] is error
         if texts[0] == "x1*0+1":
             assert want[1] == "'cli-expr' produced NaN at [0.6, -1.0]"
 
@@ -655,7 +618,8 @@ class TestSlabs:
         monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
         f = ivf_from_expressions(*texts, dim=dim)
         pair = IVF(dim, lambda P: f.lower(P), lambda P: f.upper(P), "cli-expr")
-        want = _errors_match_the_points(pair, res, error)
+        want = _slab_reads_match_the_model(pair, lambda: SampleGrid(_error_box(res), res))
+        assert want[0] is error
         if texts[0] == "x1*0+1":
             assert want[1] == "'cli-expr' produced NaN at [0.6, -1.0]"
 
@@ -679,8 +643,7 @@ class TestSlabs:
         g = IVF(2, lambda P: P[:, 0] ** 2, lambda P: P[:, 0] ** 2 + 1, "lambda")
         inf = infimum_over(g, grid)
         assert _memo_hit(g, grid)[1] is None
-        lo, hi = g.values(grid.points())
-        assert _bits(inf) == _bits(Interval(float(lo.min()), float(hi.min())))
+        assert reference.canonical(inf) == reference.canonical(reference.infimum_over(g, grid))
 
     @pytest.mark.parametrize("res, slab", SLABBED_GRIDS)
     def test_other_functions_match_their_points(self, res, slab, monkeypatch):
@@ -702,9 +665,7 @@ class TestSlabs:
         ]
         monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
         for f in others:
-            _slab_route_matches_the_full_mesh(
-                f, lambda: SampleGrid(box, res), reference=lambda f, g: f.values(g.points())
-            )
+            _slab_reads_match_the_model(f, lambda: SampleGrid(box, res))
 
     def test_other_functions_evaluate_each_point_once(self, monkeypatch):
         import ivfkit.ivf as ivf
