@@ -84,8 +84,11 @@ def gateaux_derivative(
     ladder: Sequence[float] = DEFAULT_LAMBDA_LADDER,
     tol: float = 1e-6,
 ) -> DirectionalDerivative:
-    """One-sided gH-difference quotient limit of ``f`` at ``xbar`` along ``h``."""
+    """One-sided gH-difference quotient limit of ``f`` at ``xbar`` along ``h``;
+    the last two quotients must be closer than ``tol``, finite and >= 0."""
     ladder = _checked_ladder(ladder)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and non-negative")
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     h = np.asarray(h, dtype=float).reshape(-1)
     base = f(xbar)

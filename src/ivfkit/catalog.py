@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import gateaux_derivative, stationarity_check
-from .expr import compile_field, max_var_index, parse_expr
+from .expr import ExprField, max_var_index, parse_expr
 from .interval import Interval, gh_dist, interval_to_json
 from .ivf import IVF, Box, ProbeParams, SampleGrid, argmin_over, continuity_report
 from .ivf import endpoint_lsc_equivalence, infimum_over, is_proper_probe, level_bounded_probe
@@ -73,11 +73,10 @@ def ivf_from_expressions(
     inferred = max(max_var_index(lower_ast), max_var_index(upper_ast), 1)
     return IVF(
         dim=dim if dim is not None else inferred,
-        lower=compile_field(lower_ast),
-        upper=compile_field(upper_ast),
+        lower=ExprField(lower_ast),
+        upper=ExprField(upper_ast),
         label=label,
         domain=domain,
-        joint=compile_field((lower_ast, upper_ast)),
     )
 
 

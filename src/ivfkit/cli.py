@@ -54,6 +54,7 @@ from .ivf import (
     IVF,
     ProbeParams,
     SampleGrid,
+    _axis,
     argmin_over,
     continuity_report,
     endpoint_lsc_equivalence,
@@ -119,6 +120,12 @@ class RunConfig:
         for name in ("at", "dir", "xbar"):
             if getattr(self, name) is not None:
                 _parse_point(getattr(self, name))
+        for res in (self.res, self.verify_res) if self.box else ():
+            # a grid axis is a lerp, which overflows near the largest doubles
+            with np.errstate(all="ignore"):
+                axes = [_axis(a, b, r) for (a, b), r in zip(self.box.bounds, res or ()) if r > 1]
+            if not all(np.isfinite(ax).all() for ax in axes):
+                raise ValueError(f"box {list(self.box.bounds)} overflows at resolution {list(res)}")
         if self.deltas is not None:
             ProbeParams(delta_ladder=self.deltas)
         if self.ladder is not None:
@@ -132,7 +139,10 @@ class RunConfig:
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    point = tuple(float(v) for v in text.split(","))
+    if not all(math.isfinite(v) for v in point):
+        raise ValueError(f"point {text!r} must be finite")
+    return point
 
 
 def _parse_box(text: str) -> Box:
@@ -157,16 +167,9 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _probe_params(args: RunConfig) -> ProbeParams:
-    kwargs = {}
-    if args.deltas is not None:
-        kwargs["delta_ladder"] = args.deltas
-    if args.samples is not None:
-        kwargs["samples_per_ball"] = args.samples
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return ProbeParams(**kwargs)
+    given = {"delta_ladder": args.deltas, "samples_per_ball": args.samples,
+             "seed": args.seed, "tol": args.tol}
+    return ProbeParams(**{k: v for k, v in given.items() if v is not None})
 
 
 def _resolve_function(args: RunConfig) -> IVF:

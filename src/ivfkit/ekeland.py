@@ -173,8 +173,8 @@ def global_min(f: IVF, grid: SampleGrid, tol: float) -> tuple[Interval, np.ndarr
 
 def perturbed(f: IVF, delta: float, center) -> IVF:
     """Shift both endpoints by ``delta * |x - center|`` (a cone around center)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be finite and positive")
     center = np.asarray(center, dtype=float).reshape(-1)
     lower, upper = f.lower, f.upper
 
@@ -429,7 +429,10 @@ def verify_certificate(
     delta: float,
     tol: float,
 ) -> bool:
-    """Independent recheck of all three conclusions, typically on a finer grid."""
+    """Independent recheck of all three conclusions, typically on a finer grid;
+    ``delta`` must be finite and positive, ``tol`` finite and non-negative."""
+    if not (math.isfinite(delta) and delta > 0 and math.isfinite(tol) and tol >= 0):
+        raise ValueError("delta must be finite and positive, tol finite and non-negative")
     eps_free_ok = _verify_descent_and_scan(f, cert, grid, delta, tol)
     return _verify_distance(cert, delta) and eps_free_ok
 

@@ -52,7 +52,6 @@ __all__ = [
     "ast_to_text",
     "eval_expr",
     "max_var_index",
-    "compile_field",
     "ExprField",
 ]
 
@@ -564,20 +563,16 @@ def max_var_index(node: ExprAST) -> int:
 
 
 class ExprField:
-    """An AST as a vectorized scalar field: calling it with an (N, dim) array
-    or an open mesh is ``eval_expr(node, ...)``.  Its type is what tells
-    ``ivf`` that the field can be evaluated on a grid's open mesh."""
+    """An AST as a vectorized scalar field for interval-valued functions:
+    calling it with an (N, dim) array or an open mesh is
+    ``eval_expr(node, ...)``.  An ``IVF`` whose two endpoint fields are
+    ``ExprField``s evaluates both trees in one pass, also on a grid's open
+    mesh."""
 
     __slots__ = ("node",)
 
-    def __init__(self, node: Union[ExprAST, tuple[ExprAST, ...]]):
+    def __init__(self, node: ExprAST):
         self.node = node
 
     def __call__(self, points):
         return eval_expr(self.node, points)
-
-
-def compile_field(node: Union[ExprAST, tuple[ExprAST, ...]]) -> ExprField:
-    """Wrap an AST as a vectorized scalar field for interval-valued functions;
-    a tuple of ASTs gives a field returning one array per AST, in one pass."""
-    return ExprField(node)

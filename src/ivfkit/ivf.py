@@ -27,7 +27,7 @@ from .errors import (
     InvalidEndpoints,
     OutOfDomain,
 )
-from .expr import ExprField
+from . import expr
 from .interval import Interval, inf_family, nprec, sup_family
 
 __all__ = [
@@ -207,6 +207,9 @@ def _mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 DEFAULT_DELTA_LADDER = (0.5, 0.1, 0.02, 0.004, 0.0008, 0.00016)
+# largest gH distance from the center value on the tightest ball that the
+# eps-delta cross-check of ``continuity_report`` accepts
+CONTINUITY_GAP_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,6 @@ class ProbeParams:
     samples_per_ball: int = 512
     seed: int = 7
     tol: float = 1e-3
-    continuity_gap_tol: float = 1e-2
 
     def __post_init__(self) -> None:
         ladder = tuple(float(d) for d in self.delta_ladder)
@@ -275,20 +277,10 @@ def unit_ball_points(dim: int, count: int, seed: int) -> np.ndarray:
 class IVF:
     """Interval-valued function given by vectorized lower/upper endpoint fields.
 
-    ``joint``, when given, maps an (N, dim) array to both endpoint arrays at
-    once and must agree with ``lower`` and ``upper``; ``values`` then calls it
-    instead of the two fields, so work the endpoints share is done once.
-    Functions built from expressions have one that computes each common
-    subtree once.  It takes no part in equality or repr, and
-    ``dataclasses.replace`` keeps it: pass ``joint=None`` when replacing an
-    endpoint field.
-
-    Grid probes read a function through one evaluator, ``_window_eval``: a
-    ``joint`` that is an ``expr.ExprField`` (as ``compile_field`` returns) is
-    evaluated on the open mesh of the grid points read, and any other
-    function through ``values`` on those points, with the same checks and
-    errors.  Replacing ``joint`` with another callable drops the mesh route
-    with it.
+    When both fields are ``expr.ExprField``s, their two trees are evaluated
+    in one ``expr.eval_expr`` call, which computes each shared subtree once:
+    on points by ``values``, on the open mesh of the grid points read by
+    ``_window_eval``.  Any other pair of fields is called on points.
     """
 
     dim: int
@@ -296,9 +288,6 @@ class IVF:
     upper: ScalarField
     label: str = ""
     domain: Optional[Box] = None
-    joint: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def values(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate both endpoint fields on an (N, dim) array, with checks:
@@ -308,10 +297,10 @@ class IVF:
         if pts.ndim < 2:
             pts = np.atleast_2d(pts)
         _check_dim(self, pts.shape[1])
+        pair = _expression_pair(self)
         with np.errstate(all="ignore"):
-            lo, hi = _endpoints(self, pts)
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
+            lo, hi = expr.eval_expr(pair, pts) if pair else (self.lower(pts), self.upper(pts))
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         n = (len(pts),)
         if lo.shape != n or hi.shape != n:
             raise InvalidEndpoints(
@@ -348,11 +337,11 @@ def _check_endpoints(
         raise EndpointOrderViolation(f"{f.label!r}: lower > upper at {bad.tolist()}")
 
 
-def _endpoints(f: IVF, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both endpoint fields of ``f`` at ``pts``, in one pass when ``f`` has one."""
-    if f.joint is not None:
-        return f.joint(pts)
-    return f.lower(pts), f.upper(pts)
+def _expression_pair(f: IVF) -> Optional[tuple]:
+    """The two endpoint trees of ``f`` when both fields are expressions."""
+    if isinstance(f.lower, expr.ExprField) and isinstance(f.upper, expr.ExprField):
+        return f.lower.node, f.upper.node
+    return None
 
 
 def _ball(
@@ -459,7 +448,7 @@ def continuity_report(f: IVF, xbar, params: ProbeParams = ProbeParams()) -> Cont
         usc=usc,
         continuous=lsc and usc,
         eps_delta_gap=gap,
-        eps_delta_ok=gap <= params.continuity_gap_tol,
+        eps_delta_ok=gap <= CONTINUITY_GAP_TOL,
     )
 
 
@@ -655,8 +644,8 @@ def _window_eval(
     window's first bad point in enumeration order.  The only code that
     evaluates a function at grid points.
 
-    A function whose ``joint`` is a compiled expression field is evaluated
-    on the window's open mesh, so each subtree runs on the axes it depends
+    A function whose endpoint fields are both expressions is evaluated on
+    the window's open mesh, so each subtree runs on the axes it depends
     on, and each value comes back in a shape that broadcasts to the
     window's; ``lo <= hi`` on those values fails wherever a value is NaN or
     the endpoints are reversed, so the full checks run only then.  Any other
@@ -666,9 +655,10 @@ def _window_eval(
     """
     axes = [ax[w] for ax, w in zip(grid.axes(), window)]
     shape = tuple(len(ax) for ax in axes)
-    if isinstance(f.joint, ExprField):
+    pair = _expression_pair(f)
+    if pair:
         _check_dim(f, grid.box.dim)
-        lo, hi = f.joint(np.ix_(*axes))
+        lo, hi = expr.eval_expr(pair, np.ix_(*axes))
         if not (lo <= hi).all():
             _check_endpoints(
                 f, _raveled(lo, shape), _raveled(hi, shape), lambda i: _mesh_points(axes)[i]
@@ -704,13 +694,15 @@ def _window_grid_values(
     enumeration order.
 
     The whole grid is checked first, through ``infimum_over``, so errors
-    name the grid's first bad point.  When the memo holds no values and the
-    window holds at most ``_SLAB_POINTS`` points, the window is evaluated on
-    its own, with the bits of the whole grid; otherwise it is read from the
-    values in the memo.
+    name the grid's first bad point.  An empty window then evaluates
+    nothing.  When the memo holds no values and the window holds at most
+    ``_SLAB_POINTS`` points, the window is evaluated on its own, with the
+    bits of the whole grid; otherwise it is read from the values in the memo.
     """
     infimum_over(f, grid)
     shape = tuple(w.stop - w.start for w in window)
+    if 0 in shape:
+        return np.empty(0), np.empty(0)
     if _memo_hit(f, grid)[1] is None and math.prod(shape) <= _SLAB_POINTS:
         return tuple(_raveled(v, shape) for v in _window_eval(f, grid, window))
     lo, hi = _grid_values(f, grid)
@@ -847,7 +839,10 @@ def argmin_over(f: IVF, grid: SampleGrid, tol: float) -> np.ndarray:
 
     Infinite endpoints of the infimum must be matched exactly; the finite gap
     is measured in the gH-distance.  Empty when the infimum is plus-infinity.
+    ``tol`` must be finite and non-negative.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and non-negative")
     lo, hi = _grid_values(f, grid)
     return _grid_points_at(grid, _near_minimum(lo, hi, infimum_over(f, grid), tol))
 

@@ -1,16 +1,16 @@
 """One naive model of every grid, probe and Ekeland verdict of ivfkit.
 
 The library reaches its verdicts through fast paths: a grid memo, windows
-around a ball, slabs, open meshes, joint programs and per-delta reuse in a
-sweep.  This module states each verdict as its definition over the full
-sample instead, in a function named like the library's, and the tests
-compare the two byte for byte; a new fast path states its check here.
+around a ball, slabs, open meshes, one-pass endpoint programs and per-delta
+reuse in a sweep.  This module states each verdict as its definition over
+the full sample instead, in a function named like the library's, and the
+tests compare the two byte for byte; a new fast path states its check here.
 
 The model evaluates a function only through ``f.lower(P)`` and
 ``f.upper(P)``, called separately, on every point of a grid
 (``grid.points()``) or on explicit point arrays, with the checks of
 ``IVF.values``: a NaN is named before a reversed pair, each at its first
-point.  It keeps no memo and reads no window, slab, mesh or joint program,
+point.  It keeps no memo and reads no window, slab, mesh or one-pass program,
 and it imports no private name of ivfkit.
 """
 
@@ -40,7 +40,7 @@ from ivfkit import (
 )
 from ivfkit.calculus import DEFAULT_LAMBDA_LADDER
 from ivfkit.ekeland import REFINEMENT_RESOLUTION, REFINEMENT_ROUNDS
-from ivfkit.ivf import unit_ball_points
+from ivfkit.ivf import CONTINUITY_GAP_TOL, unit_ball_points
 
 _INF = math.inf
 
@@ -250,7 +250,7 @@ def continuity_report(f: IVF, x, params) -> ContinuityReport:
     gap = float(gh_gaps(lo, hi, v).max())
     return ContinuityReport(
         point=tuple(x.tolist()), value=v, liminf=liminf, limsup=limsup, lsc=lsc, usc=usc,
-        continuous=lsc and usc, eps_delta_gap=gap, eps_delta_ok=gap <= params.continuity_gap_tol,
+        continuous=lsc and usc, eps_delta_gap=gap, eps_delta_ok=gap <= CONTINUITY_GAP_TOL,
     )
 
 

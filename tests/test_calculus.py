@@ -105,6 +105,21 @@ class TestGateauxDerivative:
         with pytest.raises(ValueError):
             gateaux_derivative(quadratic_pair(), (1.0,), (1.0,), ladder=(1e-3, 1e-2))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # a NaN tolerance would accept any residual: paper-levelset at (1, 1)
+        # along (0, 1) does not converge at the default tolerance
+        from ivfkit.catalog import get_function
+
+        f = get_function("paper-levelset").ivf
+        with pytest.raises(NonConvergent):
+            gateaux_derivative(f, (1.0, 1.0), (0.0, 1.0), tol=1e-6)
+        with pytest.raises(ValueError):
+            gateaux_derivative(f, (1.0, 1.0), (0.0, 1.0), tol=tol)
+        # zero is a valid tolerance that no residual is below
+        with pytest.raises(NonConvergent):
+            gateaux_derivative(get_function("constant").ivf, (0.3,), (1.0,), tol=0.0)
+
 
 class TestOperatorNorm:
     def test_interval_coefficient(self):

@@ -425,6 +425,17 @@ MALFORMED = [
       "--tol=nan"], 2),
     (["evp", "--fn=quadratic", "--xbar=0.05", "--eps=0.1", "--delta=inf", "--box=-2:2", "--res=101"], 2),
     (["seq", "--label", "paper-seq-harmonic", "--eps", "nan"], 2),
+    # points must be finite, and so must every grid coordinate
+    (["probe", "--fn", "quadratic", "--at", "inf"], 2),
+    (["eval", "--fn", "paper-proper", "--at", "0,nan"], 2),
+    (["derivative", "--fn", "quadratic", "--at", "1", "--dir", "-inf"], 2),
+    (["evp", "--fn=quadratic", "--xbar=nan", "--eps=0.1", "--delta=1", "--box=-2:2", "--res=101"], 2),
+    (["argmin", "--fn", "quadratic", "--box=-1e308:1e308", "--res", "11"], 2),
+    (["evp", "--fn=quadratic", "--xbar=0", "--eps=0.1", "--delta=1", "--box=-1e308:1e308",
+      "--res=2", "--verify-res=11"], 2),
+    # too few grid points is the grid's own error
+    (["argmin", "--fn", "quadratic", "--box=-1:1", "--res", "0"], 1),
+    (["argmin", "--fn", "quadratic", "--box=-1:1", "--res", "-3"], 1),
     (["eval", "--fn", "quadratic", "--at", "1,2"], 1),
     (["eval", "--fn", "no-such-label", "--at", "0"], 1),
     (["eval", "--lower", "x1 +", "--upper", "x1", "--at", "0"], 1),

@@ -86,6 +86,11 @@ class TestGlobalMin:
         with pytest.raises(ImproperFunction):
             global_min(empty, SampleGrid(BOX, (11,)), tol=1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError):
+            global_min(quadratic_pair(), GRID, tol=tol)
+
 
 class TestPerturbed:
     def test_cone_only(self):
@@ -103,6 +108,9 @@ class TestPerturbed:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             perturbed(quadratic_pair(), 0.0, (0.0,))
+        for delta in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                perturbed(quadratic_pair(), delta, (0.0,))
 
 
 class TestEvpSearch:
@@ -215,6 +223,19 @@ class TestVerification:
         # loosening the trade-off rate only loosens the distance bound
         assert verify_certificate(inp.f, cert, GRID, inp.delta, inp.tol)
         assert cert.dist_x0_xbar < cert.eps / (inp.delta * 2) or cert.dist_x0_xbar == 0.0
+
+    @pytest.mark.parametrize("delta, tol", [
+        (math.nan, 1e-9), (math.inf, 1e-9), (0.0, 1e-9), (-1.0, 1e-9),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -1e-9),
+    ])
+    def test_verify_rejects_bad_delta_and_tol(self, delta, tol):
+        inp = quadratic_input()
+        cert = evp_search(inp)
+        with pytest.raises(ValueError):
+            verify_certificate(inp.f, cert, GRID, delta, tol)
+        # a zero tolerance counts every tie as a violation, which the
+        # certificate's own x0 never is
+        assert verify_certificate(inp.f, cert, GRID, inp.delta, 0.0)
 
 
 class TestEvpGateaux:

@@ -14,8 +14,8 @@ from ivfkit.expr import (
     Piecewise,
     Unary,
     Var,
+    ExprField,
     ast_to_text,
-    compile_field,
     eval_expr,
     max_var_index,
     parse_expr,
@@ -124,8 +124,8 @@ class TestEvaluation:
         assert max_var_index(parse_expr("x1 + exp(x4) * x2")) == 4
         assert max_var_index(parse_expr("3 + 4")) == 0
 
-    def test_compile_field(self):
-        fld = compile_field(parse_expr("x1 ^ 2"))
+    def test_expr_field(self):
+        fld = ExprField(parse_expr("x1 ^ 2"))
         assert np.allclose(fld(np.array([[1.0], [3.0]])), [1.0, 9.0])
 
 
@@ -219,7 +219,10 @@ class TestCompiled:
 def _expression_entries():
     from ivfkit.catalog import catalog
 
-    return sorted(e.label for e in catalog() if e.ivf.joint is not None)
+    return sorted(
+        e.label for e in catalog()
+        if isinstance(e.ivf.lower, ExprField) and isinstance(e.ivf.upper, ExprField)
+    )
 
 
 class TestJoint:
@@ -242,7 +245,7 @@ class TestJoint:
             ball = box.center + 0.3 * unit_ball_points(f.dim, 512, 7)
             pts = np.vstack([box.center[None, :], ball])
             pts = pts if where == "ball-513" else pts[5:6]
-        lo, hi = f.joint(pts)
+        lo, hi = eval_expr((f.lower.node, f.upper.node), pts)
         # bit for bit, which np.array_equal on the uint64 views checks
         assert same_bits(lo, f.lower(pts)) and same_bits(hi, f.upper(pts))
         assert lo.shape == hi.shape == (len(pts),)
@@ -399,7 +402,7 @@ class TestMesh:
         from ivfkit.ivf import SampleGrid
 
         entry = get_function(label)
-        node = entry.ivf.joint.node
+        node = (entry.ivf.lower.node, entry.ivf.upper.node)
         for res in MESH_RESOLUTIONS:
             if len(res) != entry.ivf.dim:
                 continue

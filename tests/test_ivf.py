@@ -423,11 +423,10 @@ class TestMeshRoute:
         grid = SampleGrid(Box(((-1.0, 1.0), (0.0, 2.0))), (5, 7))
         f = ivf_from_expressions("x1^2", "x1^2 + x2", label="bowl")
         assert _route_of(f, grid, monkeypatch) == "mesh"
-        # replace keeps the compiled joint, and with it the mesh route
         assert _route_of(dataclasses.replace(f, label="renamed"), grid, monkeypatch) == "mesh"
         others = [
-            dataclasses.replace(f, joint=lambda P: f.joint(P)),
-            dataclasses.replace(f, joint=None),
+            dataclasses.replace(f, lower=lambda P: f.lower(P)),
+            dataclasses.replace(f, upper=lambda P: f.upper(P)),
             add_ivf(f, f),
             perturbed(f, 0.5, (0.0, 0.0)),
             indicator(lambda P: P[:, 0] > 0, 2),
@@ -436,18 +435,48 @@ class TestMeshRoute:
         for g in others:
             assert _route_of(g, grid, monkeypatch) == "points", g.label
         # the routes agree where both apply
-        rerouted = dataclasses.replace(f, joint=lambda P: f.joint(P))
+        rerouted = dataclasses.replace(f, lower=lambda P: f.lower(P))
         assert all(same_bits(a, b) for a, b in zip(_grid_values(rerouted, grid), _grid_values(f, grid)))
         # a 2-D entry from the catalog on the grids of an evp sweep
         entry = get_function("paper-levelset")
         assert _route_of(entry.ivf, SampleGrid(entry.box, (251, 251)), monkeypatch) == "mesh"
+
+    def test_endpoint_fields_decide_the_route(self, monkeypatch):
+        # an IVF is its two endpoint fields: replacing one is seen by every
+        # route, and two expression fields take the mesh route however the
+        # IVF was built
+        from ivfkit.catalog import get_function
+        from ivfkit.expr import ExprField, parse_expr
+
+        quadratic = get_function("quadratic").ivf
+        grid = SampleGrid(Box(((-2.0, 2.0),)), (41,))
+        steeper = dataclasses.replace(quadratic, upper=ExprField(parse_expr("3*x1^2")))
+        assert steeper(1.0) == Interval(1, 3)
+        assert _route_of(steeper, grid, monkeypatch) == "mesh"
+        assert infimum_over(steeper, grid) == Interval(0, 0)
+        for five in (ExprField(parse_expr("5")), lambda P: np.full(len(P), 5.0)):
+            raised = dataclasses.replace(quadratic, lower=five)
+            with pytest.raises(EndpointOrderViolation):
+                raised(1.0)
+            with pytest.raises(EndpointOrderViolation):
+                infimum_over(raised, SampleGrid(grid.box, grid.resolution))
+        built = IVF(1, ExprField(parse_expr("abs(x1)")), ExprField(parse_expr("2*abs(x1) + x1^2")))
+        assert _route_of(built, grid, monkeypatch) == "mesh"
+        pointwise = IVF(1, lambda P: built.lower(P), lambda P: built.upper(P))
+        assert _route_of(pointwise, grid, monkeypatch) == "points"
+        mesh = _grid_values(built, SampleGrid(grid.box, grid.resolution))
+        assert all(same_bits(a, b) for a, b in zip(mesh, _grid_values(pointwise, grid)))
+        assert outcome(lambda: mesh) == outcome(lambda: reference.grid_values(built, grid))
 
 
 def _expression_labels():
     from ivfkit.catalog import catalog
     from ivfkit.expr import ExprField
 
-    return sorted(e.label for e in catalog() if isinstance(e.ivf.joint, ExprField))
+    return sorted(
+        e.label for e in catalog()
+        if isinstance(e.ivf.lower, ExprField) and isinstance(e.ivf.upper, ExprField)
+    )
 
 
 def _windows(grid):
@@ -493,6 +522,31 @@ def _slab_reads_match_the_model(f, grid_of):
         got += [outcome(lambda: _grid_values(f, grid)), outcome(lambda: infimum_over(f, grid))]
     assert got == want
     return want[0]
+
+
+def test_empty_windows_evaluate_nothing(monkeypatch):
+    from ivfkit import expr
+    from ivfkit.catalog import ivf_from_expressions
+
+    calls = []
+    original = expr.eval_expr
+    monkeypatch.setattr(expr, "eval_expr", lambda node, pts: calls.append(1) or original(node, pts))
+    f = ivf_from_expressions("x1^2", "x1^2 + x2", label="bowl")
+    for res in ((5, 7), (301, 301)):
+        grid = SampleGrid(Box(((-1.0, 1.0), (0.0, 2.0))), res)
+        infimum_over(f, grid)
+        del calls[:]
+        for window in [(slice(0, 0), slice(0, res[1])), (slice(2, 2), slice(3, 3)),
+                       (slice(1, 4), slice(5, 5))]:
+            lo, hi = _window_grid_values(f, grid, window)
+            assert lo.shape == hi.shape == (0,) and lo.dtype == hi.dtype == float
+        assert calls == []
+    # the whole grid is still checked first: errors name its first bad point
+    g = ivf_from_expressions("x1*0+1", "x2/x2", label="nan", dim=2)
+    for res in ((11, 11), (301, 301)):
+        grid = SampleGrid(Box(((-1.0, 1.0), (-1.0, 1.0))), res)
+        with pytest.raises(InvalidEndpoints, match=r"produced NaN at \[-1.0, 0.0\]"):
+            _window_grid_values(g, grid, (slice(3, 3), slice(0, res[1])))
 
 
 # (resolution, slab points): 2, odd and even points per axis; slabs of one
@@ -949,6 +1003,12 @@ class TestMinimization:
         f = constant_ivf()
         grid = SampleGrid(Box(((-1.0, 1.0),)), (11,))
         assert len(argmin_over(f, grid, tol=0.0)) == grid.size
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_argmin_tolerance_must_be_finite_and_non_negative(self, tol):
+        # a NaN tolerance would return no point at all
+        with pytest.raises(ValueError):
+            argmin_over(quadratic_pair(), SampleGrid(Box(((-1.0, 1.0),)), (11,)), tol)
 
     def test_axis_function_infimum_and_argmin(self):
         f = axis_unbounded_below()
