@@ -4,6 +4,11 @@ The derivative at a point along a direction is the one-sided limit of scaled
 gH-difference quotients, estimated down a decreasing lambda ladder.  A result
 is accepted only when the last two quotients agree below the convergence
 tolerance, and that final gap is reported as the residual.
+
+The base point and every rung of the ladder, for every direction a call
+asks about, are evaluated in one ``IVF.values`` call, and the quotients are
+formed as arrays, with the bits and the errors of a walk that evaluates one
+rung at a time.
 """
 
 from __future__ import annotations
@@ -11,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InfiniteOperand, NonConvergent
+from .errors import EndpointOrderViolation, InvalidEndpoints, NonConvergent, OutOfDomain
 from .interval import Interval, add, gh_dist, gh_sub, norm, scalar_mul
 from .ivf import IVF, _halton_directions
 
@@ -77,6 +82,93 @@ def _checked_ladder(ladder: Sequence[float]) -> tuple[float, ...]:
     return ladder
 
 
+def _quotients(
+    f: IVF, xbar: np.ndarray, directions: np.ndarray, ladder: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray, Optional[Exception]]:
+    """gH difference quotients ``(1/lam) * (F(xbar + lam*h) gH- F(xbar))`` of
+    ``f`` along each row ``h`` of ``directions``, one per rung ``lam``.
+
+    The base point and every rung of every direction are stacked, in the
+    order of the per-rung walk, and evaluated in one ``f.values`` call.
+    Returns the endpoints of the quotients, shape ``(j, len(ladder))``, for
+    the leading ``j`` directions that evaluate cleanly, and the error that
+    the walk meets first in direction ``j`` (None when ``j`` is every
+    direction): ``OutOfDomain`` at the first point outside the domain of
+    ``f`` (no later point is evaluated), the endpoint errors of
+    ``IVF.values`` at the first point that has one, or ``NonConvergent`` at
+    the first rung where the base or the step is infinite.
+    """
+    k, m = len(directions), len(ladder)
+    if xbar.shape != (f.dim,) or directions.shape[1] not in (1, f.dim):
+        f(xbar)  # a base point of another dimension raises OutOfDomain here
+        raise ValueError(f"directions of length {directions.shape[1]} at a point of dimension {f.dim}")
+    lams = np.asarray(ladder)
+    steps = xbar + lams[:, None] * directions[:, None, :]
+    points = np.concatenate([xbar[None, :], steps.reshape(k * m, f.dim)])
+    n, error = len(points), None
+    if f.domain is not None:
+        low, high = np.array(f.domain.bounds).T
+        inside = ((points >= low) & (points <= high)).all(axis=1)
+        if not inside.all():
+            n = int(np.argmin(inside))
+            error = OutOfDomain(f"{points[n].tolist()} outside the domain of {f.label!r}")
+    try:
+        lo, hi = f.values(points[:n]) if n else (np.empty(0), np.empty(0))
+    except (InvalidEndpoints, EndpointOrderViolation):
+        # the walk meets the point that raises first, one point at a time
+        lo, hi = np.empty(n), np.empty(n)
+        for i in range(n):
+            try:
+                (lo[i],), (hi[i],) = f.values(points[i : i + 1])
+            except (InvalidEndpoints, EndpointOrderViolation) as exc:
+                n, error = i, exc
+                break
+    scale = np.array([1.0 / lam for lam in ladder])
+    finite = np.isfinite(lo[:n]) & np.isfinite(hi[:n])
+    # where 1/lam overflows, the walk's first direction meets an infinite quotient
+    finite[1 : m + 1] &= np.isfinite(scale[: max(n - 1, 0)])
+    if not finite.all():
+        # the first rung, if the walk reaches one, where base or step is infinite
+        bad = 1 if not finite[0] else int(np.argmin(finite))
+        if bad < n:
+            n = bad
+            error = NonConvergent(f"{f.label!r} takes an infinite value near {xbar.tolist()}")
+    j = k if error is None else max(n - 1, 0) // m
+    if j == 0:
+        return np.empty((0, m)), np.empty((0, m)), error
+    with np.errstate(all="ignore"):  # a difference may overflow, silently as in floats
+        dlo = lo[1 : 1 + j * m].reshape(j, m) - lo[0]
+        dhi = hi[1 : 1 + j * m].reshape(j, m) - hi[0]
+        return scale * np.minimum(dlo, dhi), scale * np.maximum(dlo, dhi), error
+
+
+def _derivatives(f: IVF, xbar, directions, ladder: Sequence[float], tol: float):
+    """Yield ``(value, residual)`` of the derivative of ``f`` at ``xbar``
+    along each row of ``directions`` in turn, from one ``_quotients`` call;
+    raises what the per-rung walk of each direction raises, when the caller
+    reads that far: a bad ladder or tolerance, an error from evaluation, or
+    ``NonConvergent`` where the last two quotients differ by ``tol`` or more.
+    """
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if not len(directions):
+        return
+    ladder = _checked_ladder(ladder)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and non-negative")
+    xbar = np.asarray(xbar, dtype=float).reshape(-1)
+    qlo, qhi, error = _quotients(f, xbar, directions, ladder)
+    for lo, hi in zip(qlo, qhi):
+        value = Interval(lo[-1], hi[-1])
+        residual = gh_dist(Interval(lo[-2], hi[-2]), value)
+        if residual >= tol:
+            raise NonConvergent(
+                f"quotients still differ by {residual:g} at lambda={ladder[-1]:g}"
+            )
+        yield value, residual
+    if error is not None:
+        raise error
+
+
 def gateaux_derivative(
     f: IVF,
     xbar,
@@ -86,31 +178,13 @@ def gateaux_derivative(
 ) -> DirectionalDerivative:
     """One-sided gH-difference quotient limit of ``f`` at ``xbar`` along ``h``;
     the last two quotients must be closer than ``tol``, finite and >= 0."""
-    ladder = _checked_ladder(ladder)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError("tol must be finite and non-negative")
-    xbar = np.asarray(xbar, dtype=float).reshape(-1)
     h = np.asarray(h, dtype=float).reshape(-1)
-    base = f(xbar)
-    quotients = []
-    try:
-        for lam in ladder:
-            step = f(xbar + lam * h)
-            quotients.append(scalar_mul(1.0 / lam, gh_sub(step, base)))
-    except InfiniteOperand as exc:
-        raise NonConvergent(
-            f"{f.label!r} takes an infinite value near {xbar.tolist()}"
-        ) from exc
-    residual = gh_dist(quotients[-2], quotients[-1])
-    if residual >= tol:
-        raise NonConvergent(
-            f"quotients still differ by {residual:g} at lambda={ladder[-1]:g}"
-        )
+    value, residual = next(_derivatives(f, xbar, h[None, :], ladder, tol))
     return DirectionalDerivative(
-        base_point=tuple(xbar.tolist()),
+        base_point=tuple(np.asarray(xbar, dtype=float).reshape(-1).tolist()),
         direction=tuple(h.tolist()),
-        value=quotients[-1],
-        lambda_ladder=ladder,
+        value=value,
+        lambda_ladder=tuple(float(v) for v in ladder),
         residual=residual,
     )
 
@@ -248,8 +322,4 @@ def stationarity_check(
     tol: float = 1e-6,
 ) -> bool:
     """All sampled directional derivatives vanish in norm up to ``tol``."""
-    for h in np.atleast_2d(directions):
-        d = gateaux_derivative(f, xbar, h, ladder=ladder, tol=tol)
-        if norm(d.value) > tol:
-            return False
-    return True
+    return all(norm(value) <= tol for value, _ in _derivatives(f, xbar, directions, ladder, tol))

@@ -21,7 +21,7 @@ from .interval import Interval, gh_dist, interval_to_json
 from .ivf import IVF, Box, ProbeParams, SampleGrid, argmin_over, continuity_report
 from .ivf import endpoint_lsc_equivalence, infimum_over, is_proper_probe, level_bounded_probe
 from .sequences import IntervalSequence, LimitKind, check_convergence, check_divergence
-from .sequences import liminf_seq, limsup_seq
+from .sequences import _ReadOnce, liminf_seq, limsup_seq
 
 __all__ = [
     "CatalogEntry",
@@ -536,18 +536,19 @@ def check_sequence_entry(entry: SequenceEntry) -> list[dict]:
     def check(name: str, ok: bool, **detail) -> None:
         records.append({"check": f"seq/{entry.label}/{name}", "ok": bool(ok), **detail})
 
+    seq = _ReadOnce(entry.seq.term, entry.seq.label)  # every check reads entry.horizon terms
     if entry.expect_limit is not None:
-        v = check_convergence(entry.seq, entry.expect_limit, entry.convergence_eps, entry.horizon)
+        v = check_convergence(seq, entry.expect_limit, entry.convergence_eps, entry.horizon)
         check("converges", v.kind is LimitKind.CONVERGES, settled_from=v.settled_from)
     for name, expected, limit in (
         ("liminf", entry.expect_liminf, liminf_seq),
         ("limsup", entry.expect_limsup, limsup_seq),
     ):
         if expected is not None:
-            got = limit(entry.seq, entry.horizon)
+            got = limit(seq, entry.horizon)
             ok = got == expected or gh_dist(got, expected) <= entry.convergence_eps
             check(name, ok, value=interval_to_json(got))
     if entry.diverges_pos_inf:
-        v = check_divergence(entry.seq, [1.0, 10.0, 100.0], entry.horizon)
+        v = check_divergence(seq, [1.0, 10.0, 100.0], entry.horizon)
         check("diverges", v.kind is LimitKind.DIVERGES_POS_INF)
     return records

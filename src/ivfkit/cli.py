@@ -54,7 +54,7 @@ from .ivf import (
     IVF,
     ProbeParams,
     SampleGrid,
-    _axis,
+    _grid_axes,
     argmin_over,
     continuity_report,
     endpoint_lsc_equivalence,
@@ -121,11 +121,10 @@ class RunConfig:
             if getattr(self, name) is not None:
                 _parse_point(getattr(self, name))
         for res in (self.res, self.verify_res) if self.box else ():
-            # a grid axis is a lerp, which overflows near the largest doubles
-            with np.errstate(all="ignore"):
-                axes = [_axis(a, b, r) for (a, b), r in zip(self.box.bounds, res or ()) if r > 1]
-            if not all(np.isfinite(ax).all() for ax in axes):
-                raise ValueError(f"box {list(self.box.bounds)} overflows at resolution {list(res)}")
+            # fewer than two points on an axis is the grid's own error, raised
+            # when a command builds the grid
+            if res and min(res) > 1:
+                _grid_axes(self.box, res)
         if self.deltas is not None:
             ProbeParams(delta_ladder=self.deltas)
         if self.ladder is not None:

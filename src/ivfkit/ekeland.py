@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import DEFAULT_LAMBDA_LADDER, gateaux_derivative
+from .calculus import DEFAULT_LAMBDA_LADDER, _derivatives
 from .errors import EmptyArgmin, HypothesisViolated, ImproperFunction, OutOfDomain
 from .interval import (
     Interval,
@@ -502,11 +502,8 @@ def evp_gateaux(
     ``delta`` (up to tolerance): the witness is a near-stationary point.
     """
     cert = evp_search(inp)
-    bound = 0.0
-    for h in np.atleast_2d(directions):
-        d = gateaux_derivative(inp.f, cert.x0, h, ladder=ladder, tol=tol)
-        bound = max(bound, norm(d.value))
-    return cert, bound
+    derivatives = _derivatives(inp.f, cert.x0, directions, ladder, tol)
+    return cert, max((norm(value) for value, _ in derivatives), default=0.0)
 
 
 def level_bound_lemma_check(xbar, bound: Interval, grid: SampleGrid) -> bool:

@@ -149,9 +149,7 @@ class SampleGrid:
         if any(r < 2 for r in res):
             raise EmptyGrid("resolution must be >= 2 per dimension")
         object.__setattr__(self, "resolution", res)
-        object.__setattr__(
-            self, "_axes", tuple(_axis(a, b, r) for (a, b), r in zip(self.box.bounds, res))
-        )
+        object.__setattr__(self, "_axes", _grid_axes(self.box, res))
 
     @property
     def size(self) -> int:
@@ -180,6 +178,17 @@ class SampleGrid:
         for d, r in enumerate(self.resolution):
             shell |= (idx[d] == 0) | (idx[d] == r - 1)
         return shell.ravel(order="C")
+
+
+def _grid_axes(box: Box, res: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The read-only coordinates of a grid on ``box`` along each axis, ``res``
+    per axis; raises ValueError where a coordinate is not finite, as the lerp
+    of ``_axis`` overflows on boxes near the largest doubles."""
+    with np.errstate(all="ignore"):
+        axes = tuple(_axis(a, b, r) for (a, b), r in zip(box.bounds, res))
+    if not all(np.isfinite(ax).all() for ax in axes):
+        raise ValueError(f"box {list(box.bounds)} overflows at resolution {list(res)}")
+    return axes
 
 
 def _axis(a: float, b: float, r: int) -> np.ndarray:
@@ -298,8 +307,11 @@ class IVF:
             pts = np.atleast_2d(pts)
         _check_dim(self, pts.shape[1])
         pair = _expression_pair(self)
-        with np.errstate(all="ignore"):
-            lo, hi = expr.eval_expr(pair, pts) if pair else (self.lower(pts), self.upper(pts))
+        if pair:
+            lo, hi = expr.eval_expr(pair, pts)  # which ignores floating-point errors itself
+        else:
+            with np.errstate(all="ignore"):
+                lo, hi = self.lower(pts), self.upper(pts)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         n = (len(pts),)
         if lo.shape != n or hi.shape != n:
@@ -307,7 +319,9 @@ class IVF:
                 f"{self.label!r}: endpoint fields returned shapes {lo.shape} and {hi.shape} "
                 f"for {n[0]} points, expected {n}"
             )
-        _check_endpoints(self, lo, hi, pts.__getitem__)
+        # fails wherever an endpoint is NaN or the pair is reversed
+        if not (lo <= hi).all():
+            _check_endpoints(self, lo, hi, pts.__getitem__)
         return lo, hi
 
     def __call__(self, x) -> Interval:

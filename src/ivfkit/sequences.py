@@ -8,7 +8,7 @@ carry the horizon and tolerance they were computed with, and "converges" means
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -97,6 +97,27 @@ def _endpoint_arrays(seq: IntervalSequence, horizon: int) -> tuple[np.ndarray, n
     return lo, hi
 
 
+@dataclass(frozen=True)
+class _ReadOnce(IntervalSequence):
+    """A sequence whose terms up to a horizon are read once, by the first
+    reader of that horizon, and kept read-only for every later one: several
+    checks of one sequence at one horizon then cost one walk."""
+
+    read: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+def _terms(seq: IntervalSequence, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint arrays of the first ``horizon`` terms of ``seq``."""
+    if not isinstance(seq, _ReadOnce):
+        return _endpoint_arrays(seq, horizon)
+    if horizon not in seq.read:
+        lo, hi = _endpoint_arrays(seq, horizon)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        seq.read[horizon] = lo, hi
+    return seq.read[horizon]
+
+
 def check_convergence(
     seq: IntervalSequence, limit: Interval, eps: float, horizon: int
 ) -> LimitVerdict:
@@ -105,7 +126,7 @@ def check_convergence(
         raise ValueError("eps must be positive")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise InfiniteTerm(f"sequence {seq.label!r} has an infinite term within the horizon")
     dist = np.maximum(np.abs(lo - limit.lo), np.abs(hi - limit.hi))
@@ -126,7 +147,7 @@ def check_divergence(
     """
     if not thresholds or any(a <= 0 for a in thresholds):
         raise ValueError("thresholds must be positive")
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
 
     def settle_index(cond: np.ndarray) -> Optional[int]:
         # smallest m with cond[n] true for all n in [m, horizon], if any
@@ -170,7 +191,7 @@ def endpointwise_limit(
         raise ValueError("tol must be positive")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     start = max(0, horizon // 2 - 1)
     tail_lo, tail_hi = lo[start:], hi[start:]
 
@@ -190,13 +211,13 @@ def is_monotone_increasing(seq: IntervalSequence, horizon: int) -> bool:
     """Pairwise dominance monotonicity over the horizon."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     return bool(np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0))
 
 
 def is_bounded_above(seq: IntervalSequence, bound: Interval, horizon: int) -> bool:
     """Every term up to the horizon is dominated by ``bound``."""
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     return bool(np.all(lo <= bound.lo) and np.all(hi <= bound.hi))
 
 
@@ -212,7 +233,7 @@ def monotone_limit(
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     if not (np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)):
         raise NotMonotone(f"sequence {seq.label!r} is not dominance-monotone")
     mid = horizon // 2
@@ -235,14 +256,14 @@ def _suffix_max(values: np.ndarray) -> np.ndarray:
 
 def tail_infima(seq: IntervalSequence, horizon: int) -> list[Interval]:
     """Derived sequence of tail infima over ``k in [n, horizon]`` for each n."""
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     slo, shi = _suffix_min(lo), _suffix_min(hi)
     return [Interval(float(a), float(b)) for a, b in zip(slo, shi)]
 
 
 def tail_suprema(seq: IntervalSequence, horizon: int) -> list[Interval]:
     """Derived sequence of tail suprema over ``k in [n, horizon]`` for each n."""
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     slo, shi = _suffix_max(lo), _suffix_max(hi)
     return [Interval(float(a), float(b)) for a, b in zip(slo, shi)]
 
@@ -259,7 +280,7 @@ def _limit_of_tail_stat(
     seq: IntervalSequence, horizon: int, suffix_stat: Callable[[np.ndarray], np.ndarray],
     upward: bool,
 ) -> Interval:
-    lo, hi = _endpoint_arrays(seq, horizon)
+    lo, hi = _terms(seq, horizon)
     cut = max(1, horizon // 2)
     est_lo = float(suffix_stat(lo)[cut - 1])
     est_hi = float(suffix_stat(hi)[cut - 1])

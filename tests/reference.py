@@ -25,18 +25,24 @@ from ivfkit import (
     IVF,
     Box,
     ContinuityReport,
+    DirectionalDerivative,
     EkelandCertificate,
     EmptyArgmin,
     EndpointLscReport,
     EndpointOrderViolation,
     HypothesisViolated,
+    InfiniteOperand,
     Interval,
     InvalidEndpoints,
     LevelBoundReport,
     NonConvergent,
     OutOfDomain,
     SampleGrid,
+    gh_dist,
+    gh_sub,
     interval_to_json,
+    norm,
+    scalar_mul,
 )
 from ivfkit.calculus import DEFAULT_LAMBDA_LADDER
 from ivfkit.ekeland import REFINEMENT_RESOLUTION, REFINEMENT_ROUNDS
@@ -415,29 +421,48 @@ def verify_certificate(
     return float(np.linalg.norm(x0 - xbar)) < cert.eps / delta and descent_ok and len(violations) == 0
 
 
+def gateaux_derivative(f: IVF, x, h, ladder=DEFAULT_LAMBDA_LADDER, tol: float = 1e-6
+                       ) -> DirectionalDerivative:
+    """The per-rung walk: F at ``x``, then at ``x + lam*h`` for each rung
+    ``lam`` of ``ladder`` in turn, each quotient formed with the scalar
+    interval ops; raises ``NonConvergent`` at the first rung where F or the
+    quotient is infinite, or where the last two quotients differ by ``tol``
+    or more."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    h = np.asarray(h, dtype=float).reshape(-1)
+    base = value(f, x)
+    quotients = []
+    for lam in ladder:
+        step = value(f, x + lam * h)
+        try:
+            quotients.append(scalar_mul(1.0 / lam, gh_sub(step, base)))
+        except InfiniteOperand:
+            raise NonConvergent(f"{f.label!r} takes an infinite value near {x.tolist()}") from None
+    residual = gh_dist(quotients[-2], quotients[-1])
+    if residual >= tol:
+        raise NonConvergent(f"quotients still differ by {residual:g} at lambda={ladder[-1]:g}")
+    return DirectionalDerivative(
+        base_point=tuple(x.tolist()), direction=tuple(h.tolist()), value=quotients[-1],
+        lambda_ladder=tuple(ladder), residual=residual,
+    )
+
+
+def stationarity_check(f: IVF, x, directions, ladder=DEFAULT_LAMBDA_LADDER, tol: float = 1e-6
+                       ) -> bool:
+    """The derivative along each direction in turn, up to the first whose
+    value is more than ``tol`` from zero in norm."""
+    for h in np.atleast_2d(directions):
+        if norm(gateaux_derivative(f, x, h, ladder, tol).value) > tol:
+            return False
+    return True
+
+
 def gateaux_bound(f: IVF, x0, directions, tol: float = 1e-6) -> float:
-    """The largest norm, over ``directions``, of the last gH difference
-    quotient of F at ``x0`` down the default lambda ladder; raises
-    ``NonConvergent`` where F is infinite or the last two quotients differ
-    by ``tol`` or more."""
-    x0 = np.asarray(x0, dtype=float)
-    ladder = DEFAULT_LAMBDA_LADDER
+    """The largest norm, over ``directions`` in turn, of the derivative of F
+    at ``x0`` down the default lambda ladder."""
     bound = 0.0
     for h in np.atleast_2d(directions):
-        base = value(f, x0)
-        quotients = []
-        for lam in ladder:
-            step = value(f, x0 + lam * h)
-            if not (base.is_finite and step.is_finite):
-                raise NonConvergent(f"{f.label!r} takes an infinite value near {x0.tolist()}")
-            dlo, dhi = step.lo - base.lo, step.hi - base.hi
-            quotients.append(Interval(1.0 / lam * min(dlo, dhi), 1.0 / lam * max(dlo, dhi)))
-        a, b = quotients[-2:]
-        residual = max(0.0 if a.lo == b.lo else abs(a.lo - b.lo),
-                       0.0 if a.hi == b.hi else abs(a.hi - b.hi))
-        if residual >= tol:
-            raise NonConvergent(f"quotients still differ by {residual:g} at lambda={ladder[-1]:g}")
-        bound = max(bound, abs(b.lo), abs(b.hi))
+        bound = max(bound, norm(gateaux_derivative(f, x0, h, tol=tol).value))
     return bound
 
 

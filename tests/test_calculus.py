@@ -229,3 +229,43 @@ class TestStationarity:
         winners = argmin_over(f, grid, tol=1e-9)
         assert len(winners) == 1
         assert stationarity_check(f, winners[0], np.array([[1.0], [-1.0]]))
+
+
+def test_one_evaluation_per_call(monkeypatch):
+    # the base point and every rung of every direction go through one
+    # IVF.values call
+    from ivfkit import ekeland
+    from ivfkit.catalog import get_function
+    from ivfkit.ivf import Box, SampleGrid
+
+    calls = []
+    values = IVF.values
+
+    def counted(self, points):
+        calls.append(len(points))
+        return values(self, points)
+
+    f = get_function("paper-levelset").ivf
+    dirs = np.vstack([np.eye(2), -np.eye(2), [[0.6, 0.8]]])
+    monkeypatch.setattr(IVF, "values", counted)
+    gateaux_derivative(quadratic_pair(), (1.0,), (1.0,))
+    assert calls == [1 + len(DEFAULT_LAMBDA_LADDER)]
+    calls.clear()
+    assert not stationarity_check(f, (0.3, 0.2), dirs, tol=1e-3)
+    assert calls == [1 + len(dirs) * len(DEFAULT_LAMBDA_LADDER)]
+
+    box = Box(((-2.0, 2.0),))
+    inp = ekeland.EkelandInput(
+        f=quadratic_pair(), xbar=(0.05,), eps=0.01, delta=1.0, box=box,
+        grid=SampleGrid(box, (401,)), tol=1e-9,
+    )
+    cert = ekeland.evp_search(inp)
+    monkeypatch.setattr(ekeland, "evp_search", lambda inp: cert)
+    calls.clear()
+    assert ekeland.evp_gateaux(inp, np.array([[1.0], [-1.0]]))[0] is cert
+    assert calls == [1 + 2 * len(DEFAULT_LAMBDA_LADDER)]
+
+
+def test_no_directions_evaluate_nothing(monkeypatch):
+    monkeypatch.setattr(IVF, "values", lambda self, points: pytest.fail("evaluated"))
+    assert stationarity_check(quadratic_pair(), (1.0,), np.empty((0, 1)))

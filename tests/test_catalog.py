@@ -91,3 +91,23 @@ class TestSequenceEntries:
         got = monotone_limit(entry.seq, entry.horizon, tol=1e-6)
         v = check_convergence(entry.seq, got, eps=max(1e-6, entry.convergence_eps), horizon=entry.horizon)
         assert v.kind is LimitKind.CONVERGES
+
+
+@pytest.mark.parametrize("entry", SEQ_ENTRIES, ids=lambda e: e.label)
+def test_sequence_checks_read_the_terms_once(entry, monkeypatch):
+    # every check of an entry reads its horizon: the terms are read once,
+    # and the records are those of checks that each read them again
+    import ivfkit.sequences as sequences
+
+    reads = []
+    endpoint_arrays = sequences._endpoint_arrays
+
+    def counted(seq, horizon):
+        reads.append(horizon)
+        return endpoint_arrays(seq, horizon)
+
+    monkeypatch.setattr(sequences, "_endpoint_arrays", counted)
+    records = check_sequence_entry(entry)
+    assert reads == [entry.horizon]
+    monkeypatch.setattr(sequences, "_terms", endpoint_arrays)
+    assert check_sequence_entry(entry) == records

@@ -155,6 +155,20 @@ class TestBoxAndGrid:
         with pytest.raises(EmptyGrid):
             SampleGrid(Box(((0.0, 1.0),)), (1,))
 
+    def test_grid_coordinates_must_be_finite(self):
+        # the lerp of each axis overflows on a box near the largest doubles;
+        # the grid refuses it without a numpy warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflows at resolution \[11\]"):
+                SampleGrid(Box(((-1e308, 1e308),)), (11,))
+            with pytest.raises(ValueError, match="overflows"):
+                SampleGrid(Box(((0.0, 1.0), (-1e308, 1e308))), (3, 5))
+            grid = SampleGrid(Box(((-1e308, 1e308),)), (2,))
+        assert grid.axes()[0].tolist() == [-1e308, 1e308]
+
     def test_ball_points_deterministic_and_inside(self):
         a = unit_ball_points(2, 256, seed=7)
         b = unit_ball_points(2, 256, seed=7)

@@ -14,9 +14,16 @@ from test_expr import expr_trees
 
 import ivfkit.ivf as ivf
 from ivfkit import cli
+from ivfkit.calculus import (
+    DEFAULT_LAMBDA_LADDER,
+    gateaux_derivative,
+    stationarity_check,
+    unit_sphere_samples,
+)
 from ivfkit.catalog import catalog, ivf_from_expressions
 from ivfkit.ekeland import EkelandInput, evp_search, verify_certificate
 from ivfkit.expr import Binary, Call, Num, ast_to_text
+from ivfkit.errors import EndpointOrderViolation, InvalidEndpoints, NonConvergent, OutOfDomain
 from ivfkit.interval import Interval
 from ivfkit.ivf import (
     IVF,
@@ -138,6 +145,29 @@ def sweep_argv(case, eps):
     ] + (["--gateaux"] if case["gateaux"] else [])
 
 
+# the default ladder at its default tolerance, and a short coarse ladder
+LADDERS = ((DEFAULT_LAMBDA_LADDER, 1e-6), ((0.5, 0.05, 0.005), None))
+
+
+def compare_derivatives(f, at, seed, coarse_tol):
+    """The derivative along one seeded direction and the stationarity check
+    along several, library against model, on each of ``LADDERS`` (the coarse
+    one at ``coarse_tol``); yields each verdict's kind and outcome, the name
+    of its error or, for a stationarity check that returns, its answer."""
+    directions = unit_sphere_samples(f.dim, 2 * f.dim + 1, seed)
+    for ladder, tol in LADDERS:
+        tol = coarse_tol if tol is None else tol
+        for kind, lib, model in [
+            ("derivative", lambda: gateaux_derivative(f, at, directions[-1], ladder, tol),
+             lambda: reference.gateaux_derivative(f, at, directions[-1], ladder, tol)),
+            ("stationary", lambda: stationarity_check(f, at, directions, ladder, tol),
+             lambda: reference.stationarity_check(f, at, directions, ladder, tol)),
+        ]:
+            got = outcome(lib)
+            assert got == outcome(model), (kind, at, ladder)
+            yield kind, got[0].__name__ if got[0] != "ok" else (got[1] if kind == "stationary" else "ok")
+
+
 def compare(case, capsys, counts):
     """Every verdict on one case, library against model."""
     f = ivf_from_expressions(*case["texts"], label="pair", dim=case["dim"])
@@ -170,6 +200,8 @@ def compare(case, capsys, counts):
                            lambda: reference.continuity_report(f, at, params))[0]] += 1
     same(lambda: endpoint_lsc_equivalence(f, at, params),
          lambda: reference.endpoint_lsc_equivalence(f, at, params))
+    for kind, outcome_of in compare_derivatives(f, at, params.seed, params.tol):
+        counts[f"{kind} {outcome_of}"] += 1
 
     eps = eps_of(f, case)
     inp = EkelandInput(f=f, xbar=case["xbar"], eps=eps, delta=case["delta"], box=box, grid=grid, tol=tol)
@@ -212,6 +244,9 @@ def test_random_functions_match_the_model(capsys):
     assert counts["search HypothesisViolated"] >= 10 and counts["search EmptyArgmin"] >= 5
     assert counts["search InvalidEndpoints"] >= 10 and counts["grid InvalidEndpoints"] >= 1
     assert counts["slabbed"] >= 40 and counts["sweep exit 0"] >= 50 and counts["sweep exit 1"] >= 50
+    assert counts["derivative ok"] >= 150 and counts["derivative NonConvergent"] >= 20
+    assert counts["stationary true"] >= 100 and counts["stationary false"] >= 30
+    assert counts["stationary NonConvergent"] >= 20 and counts["stationary InvalidEndpoints"] >= 1
 
 
 def _catalog_functions():
@@ -245,7 +280,106 @@ def test_catalog_verdicts_match_the_model(label):
     rng = np.random.default_rng(17)
     lows, highs = (np.array(b) for b in zip(*box.bounds))
     params = ProbeParams()
-    for at in [probe_point] + [tuple(rng.uniform(lows, highs)) for _ in range(4)]:
+    for k, at in enumerate([probe_point] + [tuple(rng.uniform(lows, highs)) for _ in range(4)]):
         for name in ("lower_limit", "upper_limit", "continuity_report", "endpoint_lsc_equivalence"):
             got = outcome(lambda: getattr(ivf, name)(f, at, params))
             assert got == outcome(lambda: getattr(reference, name)(f, at, params)), (name, at)
+        for _ in compare_derivatives(f, at, seed=k, coarse_tol=1e-3):
+            pass
+
+
+def _lambda_pairs():
+    """Label -> (function, box): endpoint pairs of Python functions, smooth,
+    kinked, oscillating, stepping, infinite or NaN on part of the box, and
+    with a domain."""
+    x = lambda P: P[:, 0]  # noqa: E731
+    pairs = [
+        reference.quadratic_pair(),
+        IVF(1, lambda P: np.minimum(x(P), 2 * x(P)), lambda P: np.maximum(x(P), 2 * x(P)), "linear"),
+        IVF(1, lambda P: np.abs(x(P)), lambda P: 2 * np.abs(x(P)), "abs-pair"),
+        IVF(1, lambda P: np.where(x(P) != 0, np.abs(x(P)) * np.sin(1 / x(P)) - 2, -2.0),
+            lambda P: np.full(len(P), 3.0), "wild"),
+        IVF(1, lambda P: np.floor(4 * x(P)), lambda P: np.floor(4 * x(P)) + 1, "steps"),
+        IVF(1, lambda P: np.where(x(P) > 0.5, np.inf, x(P)),
+            lambda P: np.where(x(P) > 0.5, np.inf, x(P) + 1), "top-above-half"),
+        IVF(1, lambda P: np.log(x(P)), lambda P: np.log(x(P)) + 1, "log"),
+        IVF(1, lambda P: np.sqrt(x(P)), lambda P: np.sqrt(x(P)) + 1, "sqrt",
+            domain=Box(((0.0, 1.0),))),
+        IVF(2, lambda P: x(P) * P[:, 1], lambda P: x(P) * P[:, 1] + P[:, 1] ** 2, "saddle-2d",
+            domain=Box(((-1.0, 1.0), (-0.5, 0.5)))),
+    ]
+    return {f.label: (f, f.domain or Box(((-1.0, 1.0),) * f.dim)) for f in pairs}
+
+
+@pytest.mark.parametrize("label", sorted(_lambda_pairs()))
+def test_lambda_pair_derivatives_match_the_model(label):
+    # seeded points of a slightly larger box than the function's, so some
+    # bases and rungs fall outside its domain
+    f, box = _lambda_pairs()[label]
+    rng = np.random.default_rng(23)
+    lows, highs = (np.array(b) for b in zip(*box.bounds))
+    seen = Counter()
+    for k in range(30):
+        at = tuple(rng.uniform(lows - 0.1, highs + 0.1))
+        seen.update(outcome for _, outcome in compare_derivatives(f, at, seed=k, coarse_tol=1e-3))
+    assert seen["ok"] + seen["true"] + seen["false"] >= 1, seen
+
+
+def _planted(lower, upper, label, domain=None):
+    return IVF(1, lambda P: lower(P[:, 0]), lambda P: upper(P[:, 0]), label, domain=domain)
+
+
+UNIT = Box(((0.0, 1.0),))
+# (function, point, directions, ladder, what the walk raises first or returns)
+PLANTED = {
+    "base outside the domain": (
+        _planted(np.sqrt, lambda x: np.sqrt(x) + 1, "sqrt", UNIT), (-0.1,), [[1.0]], None,
+        OutOfDomain),
+    "NaN at the base": (
+        _planted(lambda x: x / x, lambda x: x + 1, "nan-at-0"), (0.0,), [[1.0]], None,
+        InvalidEndpoints),
+    "a rung outside the domain after a NaN rung": (
+        _planted(lambda x: np.where((x > 0.55) & (x < 0.65), np.nan, x), lambda x: x + 1,
+                 "nan-band", UNIT),
+        (0.5,), [[1.0], [-10.0]], None, InvalidEndpoints),
+    "NaN after an infinite rung": (
+        _planted(lambda x: np.where(x > 1.05, np.inf, np.where(x > 1.005, np.nan, x)),
+                 lambda x: np.where(x > 1.05, np.inf, x + 1), "inf-then-nan"),
+        (1.0,), [[1.0]], None, NonConvergent),
+    "a reversed pair at a middle rung": (
+        _planted(lambda x: np.where((x > 1.0005) & (x < 1.005), x + 2, x), lambda x: x + 1,
+                 "reversed-band"),
+        (1.0,), [[1.0]], None, EndpointOrderViolation),
+    "an infinite base": (
+        _planted(lambda x: np.where(x == 0, -np.inf, x), lambda x: x + 1, "inf-base"),
+        (0.0,), [[1.0]], None, NonConvergent),
+    "an infinite base, then a rung outside the domain": (
+        _planted(lambda x: np.where(x == 0, -np.inf, x), lambda x: x + 1, "inf-base",
+                 Box(((0.0, 0.05),))),
+        (0.0,), [[1.0]], None, OutOfDomain),
+    "an early False before a NonConvergent direction": (
+        _planted(lambda x: np.where(x < 1, np.inf, x), lambda x: np.where(x < 1, np.inf, x + 1),
+                 "top-below-1"),
+        (1.0,), [[1.0], [-1.0]], None, False),
+    "a NonConvergent direction before a False one": (
+        _planted(lambda x: np.where(x < 1, np.inf, x), lambda x: np.where(x < 1, np.inf, x + 1),
+                 "top-below-1"),
+        (1.0,), [[-1.0], [1.0]], None, NonConvergent),
+    "a rung whose reciprocal overflows": (
+        reference.quadratic_pair(), (1.0,), [[1.0]], (0.1, 1e-320), NonConvergent),
+    "a field that returns a scalar": (
+        IVF(1, lambda P: 1.0, lambda P: 2.0, "scalar"), (0.0,), [[1.0]], None, InvalidEndpoints),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_derivative_errors_match_the_model(name):
+    # each case plants what the per-rung walk meets first; the stacked
+    # evaluation must raise the same error, with the same message
+    f, at, directions, ladder, first = PLANTED[name]
+    ladder = ladder or DEFAULT_LAMBDA_LADDER
+    got = outcome(lambda: stationarity_check(f, at, np.array(directions), ladder))
+    assert got == outcome(lambda: reference.stationarity_check(f, at, np.array(directions), ladder))
+    assert got == ("ok", "false") if first is False else got[0] is first, got
+    got = outcome(lambda: gateaux_derivative(f, at, directions[0], ladder))
+    assert got == outcome(lambda: reference.gateaux_derivative(f, at, directions[0], ladder))
