@@ -14,6 +14,7 @@ decidable from finitely many samples.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
@@ -252,11 +253,12 @@ def _halton_directions(dim: int, count: int, seed: int) -> tuple[np.ndarray, np.
 
     Coordinate ``j`` has the ``j``-th prime as base, and each of its digits goes
     through its own permutation drawn from ``seed`` (Owen 2017, *A randomized
-    Halton algorithm in R*).  Coordinates are cell midpoints, strictly inside
-    (0, 1); the first ``dim`` become normalized standard normals, and the last
-    is returned as is, shape (count,).
+    Halton algorithm in R*) by the standard library's ``random.Random``, so
+    no process that samples imports ``numpy.random``.  Coordinates are cell
+    midpoints, strictly inside (0, 1); the first ``dim`` become normalized
+    standard normals, and the last is returned as is, shape (count,).
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     index = np.arange(count, dtype=np.int64)[:, None]
     # the first dim + 1 primes all lie below 20 * dim + 40
     primes = [n for n in range(2, 20 * dim + 40) if all(n % p for p in range(2, math.isqrt(n) + 1))]
@@ -264,7 +266,7 @@ def _halton_directions(dim: int, count: int, seed: int) -> tuple[np.ndarray, np.
     for j, base in enumerate(primes[: dim + 1]):
         digits = int(32 / math.log2(base))  # base**digits <= 2**32
         weights = base ** np.arange(digits, dtype=np.int64)
-        perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
+        perms = np.array([rng.sample(range(base), base) for _ in range(digits)])
         scrambled = perms[np.arange(digits), index // weights % base]
         u[:, j] = (scrambled @ weights[::-1] + 0.5) / float(base**digits)
     z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(u[:, :dim])

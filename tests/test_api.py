@@ -45,6 +45,24 @@ def test_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_probes_and_derivatives_do_not_import_numpy_random():
+    # the sampler draws its permutations from the standard library, so no
+    # process that probes pays for importing numpy.random
+    code = (
+        "import sys; import ivfkit.cli\n"
+        "from ivfkit import continuity_report, gateaux_derivative, get_function\n"
+        "from ivfkit.cli import run_selftest\n"
+        "assert run_selftest()[0]\n"
+        "f = get_function('paper-levelset').ivf\n"
+        "assert continuity_report(f, (0.3, 0.2)).continuous\n"
+        "gateaux_derivative(f, (0.3, 0.2), (0.6, 0.8))\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ivfkit.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports and never references."""
     tree = ast.parse(source)
