@@ -185,6 +185,10 @@ def _grid_axes(box: Box, res: Sequence[int]) -> tuple[np.ndarray, ...]:
     """The read-only coordinates of a grid on ``box`` along each axis, ``res``
     per axis; raises ValueError where a coordinate is not finite, as the lerp
     of ``_axis`` overflows on boxes near the largest doubles."""
+    # |a*(n-k) + b*k| <= (|a| + |b|)*n: where that bound is finite, no lerp
+    # overflows, and the checked walk below is not needed
+    if all(math.isfinite((abs(a) + abs(b)) * (r - 1)) for (a, b), r in zip(box.bounds, res)):
+        return tuple(_axis(a, b, r) for (a, b), r in zip(box.bounds, res))
     with np.errstate(all="ignore"):
         axes = tuple(_axis(a, b, r) for (a, b), r in zip(box.bounds, res))
     if not all(np.isfinite(ax).all() for ax in axes):
