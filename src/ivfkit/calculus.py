@@ -20,9 +20,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EndpointOrderViolation, InvalidEndpoints, NonConvergent, OutOfDomain
+from .errors import EndpointOrderViolation, InvalidEndpoints, NonConvergent
 from .interval import Interval, add, gh_dist, gh_sub, norm, scalar_mul
-from .ivf import IVF, _halton_directions
+from .ivf import IVF, _halton_directions, _outside_domain
 
 __all__ = [
     "DEFAULT_LAMBDA_LADDER",
@@ -100,18 +100,20 @@ def _quotients(
     """
     k, m = len(directions), len(ladder)
     if xbar.shape != (f.dim,) or directions.shape[1] not in (1, f.dim):
-        f(xbar)  # a base point of another dimension raises OutOfDomain here
+        # points that do not stack: the walk raises at the base (OutOfDomain)
+        # or at its first rung (OutOfDomain, or numpy's broadcast error)
+        f(xbar)
+        f(xbar + ladder[0] * directions[0])
         raise ValueError(f"directions of length {directions.shape[1]} at a point of dimension {f.dim}")
     lams = np.asarray(ladder)
     steps = xbar + lams[:, None] * directions[:, None, :]
     points = np.concatenate([xbar[None, :], steps.reshape(k * m, f.dim)])
     n, error = len(points), None
     if f.domain is not None:
-        low, high = np.array(f.domain.bounds).T
-        inside = ((points >= low) & (points <= high)).all(axis=1)
+        inside = f.domain.inside(points)
         if not inside.all():
             n = int(np.argmin(inside))
-            error = OutOfDomain(f"{points[n].tolist()} outside the domain of {f.label!r}")
+            error = _outside_domain(points[n], f.label)
     try:
         lo, hi = f.values(points[:n]) if n else (np.empty(0), np.empty(0))
     except (InvalidEndpoints, EndpointOrderViolation):

@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import DEFAULT_LAMBDA_LADDER, _derivatives
-from .errors import EmptyArgmin, HypothesisViolated, ImproperFunction, OutOfDomain
+from .errors import EmptyArgmin, HypothesisViolated, ImproperFunction
 from .interval import (
     Interval,
     add_scalar,
@@ -66,6 +66,7 @@ from .ivf import (
     _grid_points_at,
     _grid_window,
     _near_minimum,
+    _outside_domain,
     _whole_grid_eval,
     _window_grid_values,
     _window_to_grid,
@@ -311,7 +312,7 @@ def _refine(inp: EkelandInput, x0: np.ndarray, value_x0: Interval) -> np.ndarray
 
     def check_domain(x: np.ndarray) -> None:
         if f.domain is not None and not f.domain.contains(x):
-            raise OutOfDomain(f"{x.tolist()} outside the domain of {cone_label!r}")
+            raise _outside_domain(x, cone_label)
 
     # the distance row-wise, as perturbed's cone and _grid_distances compute it
     cone_x0 = add_scalar(value_x0, delta * float(np.linalg.norm((x0 - xbar)[None, :], axis=1)[0]))

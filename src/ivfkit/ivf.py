@@ -89,8 +89,17 @@ class Box:
         return np.array([(a + b) / 2.0 for a, b in self.bounds])
 
     def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return all(a <= v <= b for v, (a, b) in zip(x, self.bounds))
+        x = np.asarray(x, dtype=float).reshape(-1)
+        return bool(self.inside(x[None, :])[0])
+
+    def inside(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the rows of an (N, d) array of points that lie in the box;
+        only the leading axes that the points and the box both have are
+        compared, so a point of another dimension is left to the evaluation's
+        own dimension check."""
+        d = min(points.shape[1], self.dim)
+        low, high = np.array(self.bounds[:d], dtype=float).reshape(d, 2).T
+        return ((points[:, :d] >= low) & (points[:, :d] <= high)).all(axis=1)
 
     def clip(self, points: np.ndarray) -> np.ndarray:
         lo = np.array([a for a, _ in self.bounds])
@@ -185,10 +194,6 @@ def _grid_axes(box: Box, res: Sequence[int]) -> tuple[np.ndarray, ...]:
     """The read-only coordinates of a grid on ``box`` along each axis, ``res``
     per axis; raises ValueError where a coordinate is not finite, as the lerp
     of ``_axis`` overflows on boxes near the largest doubles."""
-    # |a*(n-k) + b*k| <= (|a| + |b|)*n: where that bound is finite, no lerp
-    # overflows, and the checked walk below is not needed
-    if all(math.isfinite((abs(a) + abs(b)) * (r - 1)) for (a, b), r in zip(box.bounds, res)):
-        return tuple(_axis(a, b, r) for (a, b), r in zip(box.bounds, res))
     with np.errstate(all="ignore"):
         axes = tuple(_axis(a, b, r) for (a, b), r in zip(box.bounds, res))
     if not all(np.isfinite(ax).all() for ax in axes):
@@ -333,9 +338,14 @@ class IVF:
     def __call__(self, x) -> Interval:
         x = np.asarray(x, dtype=float).reshape(-1)
         if self.domain is not None and not self.domain.contains(x):
-            raise OutOfDomain(f"{x.tolist()} outside the domain of {self.label!r}")
+            raise _outside_domain(x, self.label)
         lo, hi = self.values(x[None, :])
         return Interval(float(lo[0]), float(hi[0]))
+
+
+def _outside_domain(x: np.ndarray, label: str) -> OutOfDomain:
+    """The error for a point ``x`` outside the domain of the function ``label``."""
+    return OutOfDomain(f"{x.tolist()} outside the domain of {label!r}")
 
 
 def _check_dim(f: IVF, dim: int) -> None:

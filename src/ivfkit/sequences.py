@@ -191,7 +191,7 @@ def endpointwise_limit(
         raise ValueError("tol must be positive")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lo, hi = _terms(seq, horizon)
+    lo, hi = _endpoint_arrays(seq, horizon)
     start = max(0, horizon // 2 - 1)
     tail_lo, tail_hi = lo[start:], hi[start:]
 
@@ -211,13 +211,13 @@ def is_monotone_increasing(seq: IntervalSequence, horizon: int) -> bool:
     """Pairwise dominance monotonicity over the horizon."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    lo, hi = _terms(seq, horizon)
+    lo, hi = _endpoint_arrays(seq, horizon)
     return bool(np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0))
 
 
 def is_bounded_above(seq: IntervalSequence, bound: Interval, horizon: int) -> bool:
     """Every term up to the horizon is dominated by ``bound``."""
-    lo, hi = _terms(seq, horizon)
+    lo, hi = _endpoint_arrays(seq, horizon)
     return bool(np.all(lo <= bound.lo) and np.all(hi <= bound.hi))
 
 
@@ -233,7 +233,7 @@ def monotone_limit(
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    lo, hi = _terms(seq, horizon)
+    lo, hi = _endpoint_arrays(seq, horizon)
     if not (np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)):
         raise NotMonotone(f"sequence {seq.label!r} is not dominance-monotone")
     mid = horizon // 2
@@ -256,14 +256,14 @@ def _suffix_max(values: np.ndarray) -> np.ndarray:
 
 def tail_infima(seq: IntervalSequence, horizon: int) -> list[Interval]:
     """Derived sequence of tail infima over ``k in [n, horizon]`` for each n."""
-    lo, hi = _terms(seq, horizon)
+    lo, hi = _endpoint_arrays(seq, horizon)
     slo, shi = _suffix_min(lo), _suffix_min(hi)
     return [Interval(float(a), float(b)) for a, b in zip(slo, shi)]
 
 
 def tail_suprema(seq: IntervalSequence, horizon: int) -> list[Interval]:
     """Derived sequence of tail suprema over ``k in [n, horizon]`` for each n."""
-    lo, hi = _terms(seq, horizon)
+    lo, hi = _endpoint_arrays(seq, horizon)
     slo, shi = _suffix_max(lo), _suffix_max(hi)
     return [Interval(float(a), float(b)) for a, b in zip(slo, shi)]
 

@@ -437,6 +437,7 @@ MALFORMED = [
     (["argmin", "--fn", "quadratic", "--box=-1:1", "--res", "0"], 1),
     (["argmin", "--fn", "quadratic", "--box=-1:1", "--res", "-3"], 1),
     (["eval", "--fn", "quadratic", "--at", "1,2"], 1),
+    (["derivative", "--fn", "quadratic", "--at", "1", "--dir", "1,0"], 1),
     (["eval", "--fn", "no-such-label", "--at", "0"], 1),
     (["eval", "--lower", "x1 +", "--upper", "x1", "--at", "0"], 1),
     # expressions nested too deep to parse

@@ -136,6 +136,18 @@ class TestBoxAndGrid:
         with pytest.raises(InvalidEndpoints):
             Box(((0.0, math.inf),))
 
+    def test_box_inside_is_contains_row_by_row(self):
+        # closed bounds, NaN outside, and only the shared leading axes
+        # compared, as a zip over the point and the bounds compares them
+        box = Box(((0.0, 1.0), (-2.0, -1.0)))
+        points = np.array([[0.0, -1.0], [1.0, -2.0], [0.5, -0.5], [-0.1, -1.5],
+                           [np.nan, -1.5], [0.5, np.nan], [1.0, -1.0]])
+        mask = box.inside(points)
+        assert mask.tolist() == [True, True, False, False, False, False, True]
+        assert mask.tolist() == [box.contains(p) for p in points]
+        assert box.contains([0.5]) and not box.contains([2.0])
+        assert box.contains([0.5, -1.5, 99.0]) and not box.contains([0.5, 0.0, 0.0])
+
     def test_grid_lexicographic(self):
         grid = SampleGrid(Box(((0.0, 1.0), (0.0, 2.0))), (2, 3))
         pts = grid.points()

@@ -370,6 +370,14 @@ PLANTED = {
         (1.0,), [[-1.0], [1.0]], None, NonConvergent),
     "a rung whose reciprocal overflows": (
         reference.quadratic_pair(), (1.0,), [[1.0]], (0.1, 1e-320), NonConvergent),
+    "a direction of another dimension at a 1-D point": (
+        reference.quadratic_pair(), (1.0,), [[1.0, 0.0]], None, OutOfDomain),
+    "a direction of another dimension inside a 1-D domain": (
+        _planted(np.sqrt, lambda x: np.sqrt(x) + 1, "sqrt", UNIT), (0.5,), [[1.0, 0.0]], None,
+        OutOfDomain),
+    "a direction that does not broadcast against a 2-D point": (
+        IVF(2, lambda P: P[:, 0] * 0, lambda P: P[:, 1] * 0 + 1, "flat-2d"), (0.0, 0.0),
+        [[1.0, 0.0, 0.0]], None, ValueError),
     "a field that returns a scalar": (
         IVF(1, lambda P: 1.0, lambda P: 2.0, "scalar"), (0.0,), [[1.0]], None, InvalidEndpoints),
 }
