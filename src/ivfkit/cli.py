@@ -3,8 +3,9 @@ the variational search, sequence verdicts, and the built-in self-test.
 
 Reports are JSON records ``{op, inputs, verdict, evidence, params, seed}``
 with sorted keys; byte-identical across runs for a fixed seed and config
-(a timestamp is added only when requested).  CSV output is available for
-sweeps and point lists.
+(a timestamp is added only when requested).  They are strict JSON: a
+non-finite float is written ``"+inf"``, ``"-inf"`` or ``"nan"``, as
+interval endpoints are.  CSV output is available for sweeps and point lists.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .ivf import (
     IVF,
     ProbeParams,
     SampleGrid,
+    _check_dim,
     _grid_axes,
     argmin_over,
     continuity_report,
@@ -192,6 +194,18 @@ def _report(op: str, inputs: dict, verdict, evidence, params: dict, seed) -> dic
     }
 
 
+def _finite(obj):
+    """``obj`` with each non-finite float written as ``interval_to_json``
+    writes an endpoint: ``"+inf"``, ``"-inf"``, and ``"nan"`` for NaN."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("+inf" if obj > 0 else "-inf")
+    return obj
+
+
 def _emit(report: dict, args: RunConfig, csv_rows: Optional[list[dict]] = None) -> None:
     if getattr(args, "timestamp", False):
         report = {**report, "timestamp": time.time()}
@@ -202,7 +216,10 @@ def _emit(report: dict, args: RunConfig, csv_rows: Optional[list[dict]] = None) 
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # a non-finite float, which RFC 8259 has no token for
+            text = json.dumps(_finite(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -297,11 +314,15 @@ def _cmd_argmin(args: RunConfig) -> int:
 
 def _cmd_derivative(args: RunConfig) -> int:
     f = _resolve_function(args)
+    direction = _parse_point(args.dir)
+    if len(direction) != 1:
+        # a direction of one coordinate is the same along every axis
+        _check_dim(f, len(direction))
     kwargs = {"ladder": args.ladder} if args.ladder else {}
-    d = gateaux_derivative(f, _parse_point(args.at), _parse_point(args.dir), **kwargs)
+    d = gateaux_derivative(f, _parse_point(args.at), direction, **kwargs)
     report = _report(
         "derivative",
-        {"fn": f.label, "at": list(_parse_point(args.at)), "dir": list(_parse_point(args.dir))},
+        {"fn": f.label, "at": list(_parse_point(args.at)), "dir": list(direction)},
         {"value": interval_to_json(d.value), "residual": d.residual},
         [d.to_json()],
         {"ladder": list(d.lambda_ladder)},

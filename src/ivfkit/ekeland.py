@@ -29,11 +29,14 @@ endpoint makes the window the whole grid.
 Every grid a search touches -- the search grid, each local grid of the
 refinement and the grid of ``verify_certificate`` -- is evaluated once,
 through its one evaluator, ``ivf._window_eval``, whatever defines ``F``.
-A local grid is read once and dropped after its round.  The search and
-verify grids keep a memo, which holds the minima of ``F`` first, reduced in
-slabs, and stage 1 and the scan evaluate ``F`` on their own window; values
-of every point are built only for the 21^dim local grids and for windows of
-more than one slab.  The cone
+The search and verify grids keep a memo, which holds the minima of ``F``
+first, reduced in slabs, and stage 1 and the scan evaluate ``F`` on their
+own window; values of every point are built only for the 21^dim local
+grids and for windows of more than one slab.  A sweep whose search grid is
+the verify grid taken every s-th point fills both minima in one slab pass
+over the verify grid (``ivf._nested_minima``).  The search grid's memo keeps
+the last refinement path, so a further delta whose rounds land on the same
+local grids reads them instead of evaluating them again.  The cone
 ``F + delta*|x - xbar|`` adds the same scalar to both endpoints, so stage 1
 and the refinement take its values from those of ``F`` plus
 ``delta * _grid_distances``; ``perturbed`` is not evaluated on a grid.
@@ -66,6 +69,7 @@ from .ivf import (
     _grid_points_at,
     _grid_window,
     _near_minimum,
+    _nested_minima,
     _outside_domain,
     _whole_grid_eval,
     _window_grid_values,
@@ -296,6 +300,34 @@ def _stage1_near_set(
     return points, pool_lo[near], pool_hi[near]
 
 
+def _local_round(
+    f: IVF, grid: SampleGrid, k: int, local: Box, xbar: np.ndarray
+) -> tuple[SampleGrid, np.ndarray, np.ndarray, np.ndarray]:
+    """Round ``k`` of the refinement: the local grid on ``local``, the values
+    of ``f`` there and the distances of its points to ``xbar``, read-only.
+
+    The memo of the search ``grid`` keeps, per function, the last
+    refinement path: one entry per round.  A later search of ``f`` on
+    ``grid``, such as another delta of a sweep, whose round ``k`` lands on
+    the same box with the same ``xbar``, both bit for bit, reads the entry
+    instead of evaluating again.
+    """
+    key = (id(f), "refinement")
+    kept = grid._memo.get(key)
+    if kept is None or kept[0] is not f:
+        kept = grid._memo[key] = (f, [None] * REFINEMENT_ROUNDS)
+    tag = np.array(local.bounds).tobytes() + xbar.tobytes()
+    entry = kept[1][k]
+    if entry is None or entry[0] != tag:
+        local_grid = SampleGrid(local, (REFINEMENT_RESOLUTION,) * f.dim)
+        lo, hi = _whole_grid_eval(f, local_grid)
+        dist = _grid_distances(local_grid, xbar)
+        for values in (lo, hi, dist):
+            values.setflags(write=False)
+        entry = kept[1][k] = (tag, local_grid, lo, hi, dist)
+    return entry[1:]
+
+
 def _refine(inp: EkelandInput, x0: np.ndarray, value_x0: Interval) -> np.ndarray:
     """Up to three rounds of ten-times-finer local grids around the stage-1
     witness ``x0``, whose value of ``F`` is ``value_x0``.
@@ -317,17 +349,15 @@ def _refine(inp: EkelandInput, x0: np.ndarray, value_x0: Interval) -> np.ndarray
     # the distance row-wise, as perturbed's cone and _grid_distances compute it
     cone_x0 = add_scalar(value_x0, delta * float(np.linalg.norm((x0 - xbar)[None, :], axis=1)[0]))
     spacing = inp.grid.spacing()
-    for _ in range(REFINEMENT_ROUNDS):
+    for k in range(REFINEMENT_ROUNDS):
         local = Box(
             tuple(
                 (float(c - s), float(c + s))
                 for c, s in zip(x0, spacing)
             )
         ).intersect(inp.box)
-        local_grid = SampleGrid(local, (REFINEMENT_RESOLUTION,) * f.dim)
-        # read once and dropped after the round, so kept out of any memo
-        lo, hi = _whole_grid_eval(f, local_grid)
-        shift = delta * _grid_distances(local_grid, xbar)
+        local_grid, lo, hi, dist = _local_round(f, inp.grid, k, local, xbar)
+        shift = delta * dist
         cone_lo, cone_hi = lo + shift, hi + shift
         near = _near_minimum(
             cone_lo, cone_hi, Interval(float(cone_lo.min()), float(cone_hi.min())), tol
@@ -472,11 +502,16 @@ def _sweep_cell(
     first cell: the certificate, the bound and the descent and scan halves of
     the verification.  A later cell of that delta only re-targets them, so
     it raises what a search of its own would raise first, the hypothesis.
+    Before the first search, ``ivf._nested_minima`` reads the search and
+    verify grids in one pass when they are nested.
     """
     if inp.delta in searched:
         cert, bound, eps_free_ok = searched[inp.delta]
         cert = _retarget(inp, cert)
     else:
+        if not searched and fine is not None:
+            # before the first search: one pass for both grids when nested
+            _nested_minima(inp.f, inp.grid, fine)
         if directions is None:
             cert, bound = evp_search(inp), None
         else:

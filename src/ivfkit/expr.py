@@ -15,7 +15,8 @@ value has the shape its variables' arrays broadcast to; a constant value
 fills the whole mesh.
 
 A tree, or a tuple of trees such as the two endpoints of a function, is
-compiled once into straight-line code over numpy ufuncs in which each
+compiled once, and found again by the identity of each tree, into
+straight-line code over numpy ufuncs in which each
 distinct subtree is one step, so a subtree the endpoints share
 (``exp(x2^2)``) is computed once per call.  Constants stay numpy scalars (so
 ``x1^2`` squares instead of raising to an array of exponents), constant
@@ -355,8 +356,18 @@ def eval_expr(
 
     ``node`` may also be a tuple of nodes: they are evaluated in one pass that
     computes each distinct subtree once, and a tuple of arrays returns.
+
+    The compiled program is found by the identity of ``node``, or of each
+    node of the tuple, so a call hashes no tree; a node seen for the first
+    time goes through ``_compile``.
     """
-    code = _compile(node)
+    key = tuple(map(id, node)) if isinstance(node, tuple) else id(node)
+    hit = _BY_IDENTITY.get(key)
+    if hit is None:
+        if len(_BY_IDENTITY) == _BY_IDENTITY_SIZE:
+            del _BY_IDENTITY[next(iter(_BY_IDENTITY))]
+        hit = _BY_IDENTITY[key] = (node, _compile(node))
+    code = hit[1]
     if type(points) is tuple:
         points = tuple(np.asarray(a, dtype=float) for a in points)
     else:
@@ -521,7 +532,14 @@ class _Program:
         return tuple([s[i] for i in self.roots]) if self.many else s[self.roots[0]]
 
 
-@lru_cache(maxsize=256)
+_BY_IDENTITY_SIZE = 256
+# ``eval_expr``'s programs by the ids of their nodes, oldest first, at most
+# _BY_IDENTITY_SIZE; each entry holds its nodes, so no id in a key can be
+# reused by another object while the entry lives.
+_BY_IDENTITY: dict = {}
+
+
+@lru_cache(maxsize=_BY_IDENTITY_SIZE)
 def _compile(node):
     """A numpy scalar when ``node`` is constant, else a ``_Program`` from an
     (N, dim) array, or an open mesh, to the node's values.  A tuple of nodes

@@ -130,9 +130,20 @@ class SampleGrid:
     componentwise minima first and the endpoint values on request: on a grid
     of more than ``_SLAB_POINTS`` points, the minima come from slabs
     evaluated one at a time, the values are built only for a reader of every
-    point, and a window of at most one slab is evaluated on its own.
-    Endpoint fields are assumed pure.  The memo lives exactly as long as the
-    grid object; it takes no part in equality or hashing.
+    point, and a window of at most one slab is evaluated on its own.  When
+    each axis of such a grid is every s-th point of a finer grid's axis, one
+    slab pass over the finer grid can fill the minima of both
+    (``_nested_minima``).  Endpoint fields are assumed pure.
+
+    Each entry is keyed by the identity of its function and holds that
+    function.  Per function the memo holds its minima, then 2 x ``size``
+    endpoint values once a reader of every point asks for them, and, on the
+    grid of a variational search, the last refinement path: per round the
+    local box and ``xbar``, the local grid and its read-only endpoint values
+    and distances, at most ``REFINEMENT_ROUNDS`` rounds of
+    ``REFINEMENT_RESOLUTION**dim`` points (``ekeland._local_round``).  The
+    memo lives exactly as long as the grid object; it takes no part in
+    equality or hashing.
 
     Every read of a function at grid points -- the whole grid, a slab or a
     window -- goes through one evaluator, ``_window_eval``.  The grid is the
@@ -851,6 +862,71 @@ def infimum_over(f: IVF, grid: SampleGrid) -> Interval:
     inf = Interval(lo_min, hi_min)
     grid._memo[id(f)] = (f, None, None, inf)
     return inf
+
+
+def _nested_strides(coarse: SampleGrid, fine: SampleGrid) -> Optional[tuple[int, ...]]:
+    """Per axis, the step ``s`` at which ``fine``'s axis, taken every
+    ``s``-th point from its first, is ``coarse``'s axis bit for bit; None
+    unless the two grids share a box and that holds on every axis."""
+    if coarse.box != fine.box:
+        return None
+    strides = []
+    for a, b, r, q in zip(coarse.axes(), fine.axes(), coarse.resolution, fine.resolution):
+        if (q - 1) % (r - 1):
+            return None
+        s = (q - 1) // (r - 1)
+        if b[::s].tobytes() != a.tobytes():
+            return None
+        strides.append(s)
+    return tuple(strides)
+
+
+def _nested_minima(f: IVF, coarse: SampleGrid, fine: SampleGrid) -> None:
+    """Keep the minima of ``f`` on both grids in their memos from one slab
+    pass over ``fine``, when each axis of ``coarse`` is that of ``fine``
+    taken every ``s``-th point (``_nested_strides``), both grids hold more
+    than ``_SLAB_POINTS`` points and neither memo holds ``f``.  The minima
+    of ``coarse`` come from the strided view of each slab's values.
+
+    ``infimum_over`` on each grid then returns the minima its own slab pass
+    gives.  On any error the pass keeps nothing, so each grid's own pass
+    raises that grid's error when it is asked for.
+    """
+    if (
+        min(coarse.size, fine.size) <= _SLAB_POINTS
+        or _memo_hit(f, coarse) is not None
+        or _memo_hit(f, fine) is not None
+    ):
+        return
+    strides = _nested_strides(coarse, fine)
+    if strides is None:
+        return
+    fine_min = [_INF, _INF]
+    coarse_min = [_INF, _INF]
+    try:
+        for window in _slabs(fine.resolution):
+            for k, values in enumerate(_window_eval(f, fine, window)):
+                fine_min[k] = min(fine_min[k], float(values.min()))
+                sub = values[_strided(values.shape, window, strides)]
+                if sub.size:
+                    coarse_min[k] = min(coarse_min[k], float(sub.min()))
+    except Exception:  # any error is left for each grid's own pass to raise
+        return
+    coarse._memo[id(f)] = (f, None, None, Interval(*coarse_min))
+    fine._memo[id(f)] = (f, None, None, Interval(*fine_min))
+
+
+def _strided(
+    shape: tuple[int, ...], window: tuple[slice, ...], strides: tuple[int, ...]
+) -> tuple[slice, ...]:
+    """Index, into values of ``shape`` read on ``window`` of a fine grid, of
+    the points on the coarse grid every ``strides[d]``-th fine index; an
+    axis of length 1 in ``shape`` broadcasts over the window."""
+    index = []
+    for n, w, s in zip(shape, window, strides):
+        first = -w.start % s
+        index.append(slice(0, int(first < w.stop - w.start)) if n == 1 else slice(first, None, s))
+    return tuple(index)
 
 
 def is_proper_probe(f: IVF, grid: SampleGrid) -> bool:

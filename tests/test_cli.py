@@ -259,7 +259,8 @@ class TestEvpSweepReuse:
             capsys,
         )
         assert code == 0 and report["verdict"] == {"all_ok": True, "cells": 6}
-        assert len(reads) == 2 * ekeland.REFINEMENT_ROUNDS
+        # both deltas refine on the same local grids, read once
+        assert len(reads) == ekeland.REFINEMENT_ROUNDS
 
     def test_hypothesis_fails_at_a_later_eps(self, capsys):
         code, out, err = run_cli(
@@ -403,6 +404,50 @@ class TestGridEvaluations:
             assert cover.any() and (counts >= 1).all()
             assert (counts <= 1 + cover).all() and (counts[cover == 0] == 1).all()
 
+    def test_nested_sweep_evaluates_each_verify_point_once(self, capsys, monkeypatch):
+        # the search grid's axes are every other point of the verify grid's,
+        # so one slab pass over the verify grid gives the minima of both:
+        # the search grid is read in its windows only, never in full
+        import numpy as np
+
+        import ivfkit.ivf as ivf
+        from ivfkit import ekeland
+
+        search_grid, verify_grid = self.grid(131), self.grid(261)
+        assert ivf._nested_strides(search_grid, verify_grid) == (2, 2)
+        counter = _MeshCounter(monkeypatch, [search_grid, verify_grid])
+        windows = []
+        grid_window = ekeland._grid_window
+
+        def recorded(grid, center, radius):
+            window = grid_window(grid, center, radius)
+            windows.append((grid.resolution, window))
+            return window
+
+        monkeypatch.setattr(ekeland, "_grid_window", recorded)
+        code, report = run_json(
+            [
+                "evp", "--fn=paper-levelset", "--xbar=0.1,0.1", "--eps=0.3,0.8",
+                "--delta=1.2,2", f"--box={self.BOX}", "--res=131,131", "--verify-res=261,261",
+            ],
+            capsys,
+        )
+        assert code == 0 and report["verdict"] == {"all_ok": True, "cells": 4}
+        search_cover, verify_cover = (np.zeros(g.resolution, dtype=int) for g in counter.grids)
+        for res, window in windows:
+            if res == search_grid.resolution:
+                search_cover[window] += 1
+                # the mesh of a one-point window lies on the verify grid too
+                if all(w.stop - w.start == 1 for w in window):
+                    verify_cover[tuple(2 * w.start for w in window)] += 1
+            else:
+                verify_cover[window] += 1
+        search, verify = counter.counts
+        assert search_cover.any() and verify_cover.any()
+        assert (search <= search_cover).all() and (search[search_cover == 0] == 0).all()
+        assert (verify >= 1).all()
+        assert (verify <= 1 + verify_cover).all() and (verify[verify_cover == 0] == 1).all()
+
 
 # malformed command lines: exit 2 (usage) or 1 (domain), never a traceback
 MALFORMED = [
@@ -438,6 +483,7 @@ MALFORMED = [
     (["argmin", "--fn", "quadratic", "--box=-1:1", "--res", "-3"], 1),
     (["eval", "--fn", "quadratic", "--at", "1,2"], 1),
     (["derivative", "--fn", "quadratic", "--at", "1", "--dir", "1,0"], 1),
+    (["derivative", "--fn", "paper-levelset", "--at", "1,1", "--dir", "1,0,0"], 1),
     (["eval", "--fn", "no-such-label", "--at", "0"], 1),
     (["eval", "--lower", "x1 +", "--upper", "x1", "--at", "0"], 1),
     # expressions nested too deep to parse

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -516,8 +517,48 @@ def test_sweep_evaluates_each_grid_once_and_few_single_points():
     # each evaluation calls both fields once
     assert set(sizes) == {1, grid.size, fine.size, local_size}
     assert sizes[grid.size] == 2 and sizes[fine.size] == 2
-    assert sizes[local_size] == 2 * cells * REFINEMENT_ROUNDS
+    # every search lands its rounds on the same local grids, which the
+    # search grid's memo keeps, so each is evaluated by the first search only
+    assert sizes[local_size] == 2 * REFINEMENT_ROUNDS
     assert sizes[1] <= 2 * cells * 4
+
+
+def test_refinement_grids_are_shared_where_they_match():
+    # searches on one grid, whose memo keeps the last refinement path, give
+    # the certificates of searches on fresh grids; a search reads the kept
+    # local grids only where its rounds land on the same boxes with the
+    # same xbar
+    from ivfkit.ekeland import REFINEMENT_RESOLUTION
+
+    calls = []
+
+    def shelf(shift):
+        def field(P):
+            calls.append(len(P))
+            return (P[:, 0] - 0.3) ** 2 + (P[:, 1] + 0.2) ** 2 + shift
+
+        return field
+
+    f = IVF(2, shelf(0.0), shelf(1.0), "counted shelf")
+    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    grid = SampleGrid(box, (31, 31))
+    # (xbar, delta, box, local grids evaluated)
+    searches = [
+        ((0.35, -0.15), 0.5, box, 3),
+        ((0.35, -0.15), 2.0, box, 0),
+        ((0.6, 0.1), 0.2, box, 3),
+        # the first round lands on the box of the last search's, with another xbar
+        ((0.62, 0.1), 0.2, box, 3),
+        ((0.62, 0.1), 0.2, Box(((-1.0, 0.45), (-1.0, 1.0))), 3),
+        ((0.62, 0.1), 0.2, box, 3),
+    ]
+    for xbar, delta, search_box, evaluated in searches:
+        inp = EkelandInput(f=f, xbar=xbar, eps=0.5, delta=delta, box=search_box, grid=grid)
+        del calls[:]
+        got = outcome(lambda: evp_search(inp))
+        assert calls.count(REFINEMENT_RESOLUTION ** 2) == 2 * evaluated
+        fresh = dataclasses.replace(inp, grid=SampleGrid(box, (31, 31)))
+        assert got == outcome(lambda: evp_search(fresh)) and got[0] == "ok"
 
 
 def descent(P):

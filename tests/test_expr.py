@@ -344,6 +344,64 @@ class TestJoint:
         assert [v.tolist() for v in eval_expr((x_pos, x_neg), [[1.0]])] == [[math.inf], [-math.inf]]
 
 
+class TestProgramsByIdentity:
+    """``eval_expr`` finds a compiled program by the identity of its tree, or
+    of each tree of a tuple, and sends a tree seen for the first time to
+    ``_compile``."""
+
+    def test_signed_zero_trees_keep_separate_programs(self, monkeypatch):
+        from ivfkit import expr
+
+        for zero_first in (0.0, -0.0):
+            monkeypatch.setattr(expr, "_BY_IDENTITY", {})
+            expr._compile.cache_clear()
+            first = Binary("/", Var(1), Num(zero_first))
+            second = Binary("/", Var(1), Num(-zero_first))
+            assert first != second and hash(first) == hash(second)
+            for node in (first, second, first, second):
+                want = math.copysign(math.inf, math.copysign(1.0, node.right.value))
+                assert eval_expr(node, [[1.0]]).tolist() == [want]
+            assert expr._BY_IDENTITY[id(first)][1] is not expr._BY_IDENTITY[id(second)][1]
+        expr._compile.cache_clear()
+
+    def test_a_replaced_field_reads_its_new_tree(self):
+        import dataclasses
+
+        from ivfkit.catalog import ivf_from_expressions
+        from ivfkit.interval import Interval
+        from ivfkit.ivf import Box, SampleGrid, infimum_over
+
+        f = ivf_from_expressions("x1", "x1 + 1")
+        pts = np.array([[0.5], [2.0]])
+        assert f.values(pts)[1].tolist() == [1.5, 3.0]
+        g = dataclasses.replace(f, upper=ExprField(parse_expr("x1 + 2")))
+        assert g.values(pts)[1].tolist() == [2.5, 4.0]
+        assert f.values(pts)[1].tolist() == [1.5, 3.0]
+        grid = SampleGrid(Box(((0.0, 1.0),)), (3,))
+        assert infimum_over(f, grid) == Interval(0.0, 1.0)
+        assert infimum_over(g, grid) == Interval(0.0, 2.0)
+
+    def test_a_slabbed_infimum_compiles_once_per_function(self, monkeypatch):
+        from ivfkit import expr
+        from ivfkit.catalog import ivf_from_expressions
+        from ivfkit.ivf import Box, SampleGrid, _slabs, infimum_over
+
+        compiled = []
+        original = expr._compile
+        monkeypatch.setattr(expr, "_compile", lambda node: compiled.append(node) or original(node))
+        grid = SampleGrid(Box(((-1.0, 1.0), (-1.0, 1.0))), (301, 301))
+        assert len(list(_slabs(grid.resolution))) > 1
+        for texts in (("x1^2 + sin(x2)", "x1^2 + sin(x2) + 1"), ("abs(x1)", "abs(x1) + x2^2")):
+            f = ivf_from_expressions(*texts)
+            del compiled[:]
+            infimum_over(f, grid)
+            assert len(compiled) == 1
+            # later calls, on points or on a mesh, compile nothing
+            f.values(np.zeros((3, 2)))
+            infimum_over(f, SampleGrid(grid.box, (5, 5)))
+            assert len(compiled) == 1
+
+
 # grids with 2, an odd and an even number of points per axis, in 1, 2 and 3
 # dimensions; odd axes of symmetric boxes hold 0, where axis guards switch
 MESH_RESOLUTIONS = [(2,), (7,), (8,), (2, 2), (7, 5), (8, 6), (2, 9, 4), (5, 4, 3)]

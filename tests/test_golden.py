@@ -15,6 +15,23 @@ def test_reports_match_the_golden_corpus():
     assert not mismatches, "\n".join(mismatches)
 
 
+def test_every_corpus_report_and_error_line_is_strict_json():
+    # RFC 8259 has no token for a non-finite number: no NaN, no Infinity
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    corpus = json.loads(CORPUS.read_text())
+    reports = 0
+    for case in corpus["cases"]:
+        csv = "--format=csv" in case["argv"] or "csv" in case["argv"]
+        if case["stdout"] and not csv:
+            json.loads(case["stdout"], parse_constant=refuse)
+            reports += 1
+        for line in case["stderr"].splitlines():
+            json.loads(line, parse_constant=refuse)
+    assert reports >= 80
+
+
 def test_a_mismatch_names_its_path_and_ulp_distance():
     want = {"evidence": [{"value": {"lo": 1.0, "hi": 2.0}}], "ok": True}
     got = {"evidence": [{"value": {"lo": 1.0, "hi": 2.0000000000000004}}], "ok": True}

@@ -40,6 +40,8 @@ from ivfkit.ivf import (
     _grid_window,
     _halton_directions,
     _memo_hit,
+    _nested_minima,
+    _nested_strides,
     _slabs,
     _window_grid_values,
     _window_to_grid,
@@ -773,6 +775,139 @@ class TestSlabs:
             evaluated = np.concatenate(seen)
             assert len(evaluated) == grid.size
             assert np.array_equal(np.unique(evaluated, axis=0), np.unique(grid.points(), axis=0))
+
+
+def _nested_matches_separate(f, search_of, verify_of) -> bool:
+    """The nested pass on fresh grids from ``search_of()`` and ``verify_of()``
+    leaves what ``infimum_over`` on each, search grid first, reads as the
+    bits or the error of each grid's own pass on other fresh ones.  It keeps
+    minima, of both grids and no values, exactly when the verify grid holds
+    no error; returns whether it kept them."""
+    want_search, want_verify = search_of(), verify_of()
+    want = [outcome(lambda: infimum_over(f, want_search)),
+            outcome(lambda: infimum_over(f, want_verify))]
+    search, verify = search_of(), verify_of()
+    assert _nested_strides(search, verify) is not None
+    _nested_minima(f, search, verify)
+    kept = [_memo_hit(f, search), _memo_hit(f, verify)]
+    assert kept[0] is None or (kept[0][1] is None and kept[1][1] is None)
+    got = [outcome(lambda: infimum_over(f, search)), outcome(lambda: infimum_over(f, verify))]
+    assert got == want
+    # the search grid's points are verify points, so its errors are too
+    assert want[0][0] == "ok" or want[1][0] != "ok"
+    assert (kept[0] is not None) == (kept[1] is not None) == (want[1][0] == "ok")
+    return kept[0] is not None
+
+
+# (search resolution, stride): nested 2-D and 3-D grids, each of several
+# slabs at the slab sizes of the tests below, which hold single rows or runs
+# of part of a row that start between the search grid's points
+NESTED_GRIDS = [((5, 4), 2), ((5, 4), 3), ((3, 4, 3), 2), ((3, 3, 3), 3)]
+NESTED_BOX = Box(((-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5)))
+
+# (texts, dim, stride) with a NaN or a reversed pair on the search grid
+# (x1 = 0.5 or -0.5, x3 = 0.5) or only between its points (x1 = 0.75, x3 = 1/3)
+NESTED_ERRORS = [
+    (("x1*0+1", "piecewise(abs(x1 - 0.5) < 0.1, 0/0, 2)"), 2, 2),
+    (("x1*0+1", "piecewise(abs(x1 - 0.75) < 0.1, 0/0, 2)"), 2, 2),
+    (("piecewise(abs(x1 - 0.5) < 0.1, 3, 0)", "2"), 2, 2),
+    (("piecewise(abs(x1 - 0.75) < 0.1, 3, 0)", "2"), 2, 2),
+    # reversed on the search grid, NaN only between its points
+    (("piecewise(abs(x1 + 0.5) < 0.1, 3, 0)", "piecewise(abs(x1 - 0.75) < 0.1, 0/0, 2)"), 2, 2),
+    (("x1 + x2", "piecewise(x3 > 0.4, 0/0, 5)"), 3, 3),
+    (("x1 + x2", "piecewise(abs(x3 - 0.3) < 0.05, 0/0, 5)"), 3, 3),
+    (("piecewise(abs(x3 - 0.3) < 0.05, 9, 0)", "x1 + 3"), 3, 3),
+    (("piecewise(x3 > 0.4, 9, 0)", "piecewise(abs(x3 - 0.3) < 0.05, 0/0, 5)"), 3, 3),
+]
+
+
+def _nested_pair(res, stride):
+    box = Box(NESTED_BOX.bounds[: len(res)])
+    fine = tuple(stride * (r - 1) + 1 for r in res)
+    return lambda: SampleGrid(box, res), lambda: SampleGrid(box, fine)
+
+
+class TestNestedGrids:
+    """Where each axis of a search grid is every s-th point of a verify
+    grid's axis, one slab pass over the verify grid gives the minima of
+    both, with the bits and the errors of a pass per grid."""
+
+    def test_random_pairs_match_separate_passes(self):
+        from hypothesis import given, settings, strategies as st
+
+        from ivfkit.catalog import ivf_from_expressions
+        from ivfkit.expr import ast_to_text
+        from test_expr import expr_trees
+
+        import ivfkit.ivf as ivf
+
+        @settings(max_examples=80, deadline=None)
+        @given(st.sampled_from(NESTED_GRIDS).flatmap(
+            lambda case: st.tuples(st.just(case), expr_trees(len(case[0])), expr_trees(len(case[0])))
+        ), st.sampled_from([3, 5, 7, 13]))
+        def check(drawn, slab):
+            (res, stride), *pair = drawn
+            f = ivf_from_expressions(*(ast_to_text(n) for n in pair), label="pair", dim=len(res))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ivf, "_SLAB_POINTS", slab)
+                _nested_matches_separate(f, *_nested_pair(res, stride))
+
+        check()
+
+    @pytest.mark.parametrize("slab", [5, 7])
+    @pytest.mark.parametrize("res, stride", NESTED_GRIDS)
+    def test_a_minimum_at_each_verify_point(self, res, stride, slab, monkeypatch):
+        # a bowl centred on each verify point in turn, so the search grid's
+        # minimum lies at its points nearest that one
+        import ivfkit.ivf as ivf
+        from ivfkit.catalog import ivf_from_expressions
+
+        monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
+        search_of, verify_of = _nested_pair(res, stride)
+        for p in verify_of().points().tolist():
+            bowl = " + ".join(f"(x{d + 1} - {c!r})^2" for d, c in enumerate(p))
+            f = ivf_from_expressions(bowl, f"2 * ({bowl})", dim=len(res))
+            assert _nested_matches_separate(f, search_of, verify_of)
+
+    @pytest.mark.parametrize("slab", [5, 7])
+    @pytest.mark.parametrize("texts, dim, stride", NESTED_ERRORS)
+    def test_planted_errors_match_separate_passes(self, texts, dim, stride, slab, monkeypatch):
+        import ivfkit.ivf as ivf
+        from ivfkit.catalog import ivf_from_expressions
+
+        monkeypatch.setattr(ivf, "_SLAB_POINTS", slab)
+        f = ivf_from_expressions(*texts, label="cli-expr", dim=dim)
+        res = (5, 5) if dim == 2 else (3, 3, 3)
+        assert not _nested_matches_separate(f, *_nested_pair(res, stride))
+        g = ivf_from_expressions("x1 + x2", "x1 + x2 + 1", dim=dim)
+        assert _nested_matches_separate(g, *_nested_pair(res, stride))
+
+    @pytest.mark.parametrize("case", ["nested", "shifted box", "resolution", "one ulp"])
+    def test_grids_not_nested_take_their_own_passes(self, case, monkeypatch):
+        from ivfkit import expr
+        from ivfkit.catalog import get_function
+
+        box = Box(((-3.0, 3.0), (-3.0, 3.0)))
+        search, verify = SampleGrid(box, (131, 131)), SampleGrid(box, (261, 261))
+        if case == "shifted box":
+            search = SampleGrid(Box(((-3.0, 3.0), (-2.95, 3.05))), (131, 131))
+        elif case == "resolution":
+            verify = SampleGrid(box, (261, 260))  # 259 steps on 130
+        elif case == "one ulp":
+            axes = [ax.copy() for ax in search.axes()]
+            axes[1][7] = np.nextafter(axes[1][7], math.inf)
+            object.__setattr__(search, "_axes", tuple(axes))
+        calls = []
+        original = expr.eval_expr
+        monkeypatch.setattr(expr, "eval_expr", lambda node, pts: calls.append(1) or original(node, pts))
+        f = get_function("paper-levelset").ivf
+        _nested_minima(f, search, verify)
+        if case == "nested":
+            assert _nested_strides(search, verify) == (2, 2)
+            assert _memo_hit(f, search) is not None and len(calls) == len(list(_slabs((261, 261))))
+        else:
+            assert _nested_strides(search, verify) is None
+            assert _memo_hit(f, search) is None and _memo_hit(f, verify) is None and calls == []
 
 
 class TestEvaluation:
